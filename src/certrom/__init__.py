@@ -80,7 +80,6 @@ from .rb import (
     ReducedBasis,
     RieszSolver,
     assemble_rb_rom,
-    min_theta_alpha,
     rb_residual_bruteforce,
     riesz_representative,
 )

@@ -70,17 +70,17 @@ class AdaptiveModel:
     def _query(self, mu, use_state_estimate: bool):
         mu = self.box.validate(mu)
         rec = EvalRecord(mu=mu.copy(), tier="", delta_ml=np.inf, delta_rb=np.inf, eps=self.eps)
-        rb_rom = self.rb_rom
+
+        def certify(traj):
+            rom = self.rb_rom  # the current one: enrichment replaces it
+            return rom.est_state_for(traj, mu) if use_state_estimate else rom.est_output_for(traj, mu)
 
         tic = time.perf_counter()
         ml_traj = self.ml_rom.eval_state(mu)
-        delta_ml = (
-            rb_rom.est_state_for(ml_traj, mu) if use_state_estimate else rb_rom.est_output_for(ml_traj, mu)
-        )
+        rec.delta_ml = certify(ml_traj)
         rec.t_ml_est = time.perf_counter() - tic
-        rec.delta_ml = delta_ml
 
-        if delta_ml <= self.eps:
+        if rec.delta_ml <= self.eps:
             rec.tier = TIER_ML
             tic = time.perf_counter()
             result = self._package(ml_traj, use_state_estimate)
@@ -88,24 +88,15 @@ class AdaptiveModel:
             return result, ml_traj, rec
 
         tic = time.perf_counter()
-        rb_traj = rb_rom.eval_state(mu)
+        rb_traj = self.rb_rom.eval_state(mu)
         rec.t_rb_eval = time.perf_counter() - tic
         tic = time.perf_counter()
-        delta_rb = (
-            rb_rom.est_state_for(rb_traj, mu) if use_state_estimate else rb_rom.est_output_for(rb_traj, mu)
-        )
+        rec.delta_rb = certify(rb_traj)
         rec.t_rb_est = time.perf_counter() - tic
-        rec.delta_rb = delta_rb
 
-        if delta_rb <= self.eps:
+        if rec.delta_rb <= self.eps:
             rec.tier = TIER_RB
-            tic = time.perf_counter()
-            self.ml_generator.extend(mu, trajectory=rb_traj)
-            before = self.ml_generator.trainings
-            self.ml_rom = self.ml_generator.precompute()
-            rec.t_ml_build = time.perf_counter() - tic
-            if self.ml_generator.trainings > before:
-                self.events.append({"kind": "ml_train", "index": len(self.records)})
+            self._learn(mu, rb_traj, rec)
             return self._package(rb_traj, use_state_estimate), rb_traj, rec
 
         # neither surrogate was good enough: collect full-order data
@@ -121,22 +112,24 @@ class AdaptiveModel:
         tic = time.perf_counter()
         self.ml_generator = self.ml_generator.prolong(self.rb_rom)
         rb_traj = self.rb_rom.eval_state(mu)
-        self.ml_generator.extend(mu, trajectory=rb_traj)
-        before = self.ml_generator.trainings
-        self.ml_rom = self.ml_generator.precompute()
         rec.t_ml_build = time.perf_counter() - tic
-        if self.ml_generator.trainings > before:
-            self.events.append({"kind": "ml_train", "index": len(self.records)})
+        self._learn(mu, rb_traj, rec)
 
-        check = (
-            self.rb_rom.est_state_for(rb_traj, mu)
-            if use_state_estimate
-            else self.rb_rom.est_output_for(rb_traj, mu)
-        )
-        rec.delta_rb = check
-        if check > self.eps:
+        rec.delta_rb = certify(rb_traj)
+        if rec.delta_rb > self.eps:
             raise NumericalError("enrichment failed")
         return self._package(rb_traj, use_state_estimate), rb_traj, rec
+
+    def _learn(self, mu, traj: Trajectory, rec: EvalRecord):
+        """Hand a certified reduced trajectory to the learned tier and refit
+        it when due; the time counts as learned-model build time."""
+        tic = time.perf_counter()
+        self.ml_generator.extend(mu, trajectory=traj)
+        before = self.ml_generator.trainings
+        self.ml_rom = self.ml_generator.precompute()
+        rec.t_ml_build += time.perf_counter() - tic
+        if self.ml_generator.trainings > before:
+            self.events.append({"kind": "ml_train", "index": len(self.records)})
 
     def _package(self, traj: Trajectory, as_state: bool):
         if as_state:
@@ -242,42 +235,13 @@ def apply_tolerance_drop(model: AdaptiveModel, new_eps: float) -> int:
     model.eps = float(new_eps)
     gen = model.ml_generator
     rom = model.rb_rom
-    survivors = [
-        (mu, coeffs)
+    dropped = gen.discard(
+        rom.est_output_for(Trajectory(rom.time_grid, coeffs), mu) <= new_eps
         for mu, coeffs in gen.samples
-        if rom.est_output_for(Trajectory(rom.time_grid, coeffs), mu) <= new_eps
-    ]
-    dropped = len(gen.samples) - len(survivors)
+    )
     model.events.append(
         {"kind": "eps_drop", "index": len(model.records), "eps": new_eps, "dropped": dropped}
     )
     if dropped:
-        gen.samples = survivors
-        gen._pending = max(gen._pending, 1)
-        if survivors:
-            _invalidate(gen)
-            model.ml_rom = gen.precompute(force=True)
-        else:
-            _reset(gen)
-            model.ml_rom = gen.current_model()
+        model.ml_rom = gen.precompute(force=True) if gen.samples else gen.current_model()
     return dropped
-
-
-def _invalidate(gen):
-    # a removal breaks append-only bookkeeping in either generator flavor
-    if hasattr(gen, "_appended_only"):
-        gen._appended_only = False
-        gen._fitted_count = -1
-    else:
-        gen.params = None
-
-
-def _reset(gen):
-    if hasattr(gen, "_model"):
-        gen._model = None
-        gen._fitted_count = 0
-        gen._appended_only = True
-        gen._pending = 0
-    else:
-        gen.params = None
-        gen._pending = 0

@@ -126,7 +126,7 @@ def _cmd_optimize(args, cfg, problem, settings) -> int:
     mu0 = np.asarray(cfg.get("initial_mu", problem.box.center), dtype=float)
     nm = NelderMeadConfig(
         initial_point=mu0,
-        max_evals=args.max_evals or cfg.get("max_evals", 400),
+        max_evals=args.max_evals if args.max_evals is not None else cfg.get("max_evals", 400),
     )
     stagnation = None
     if args.adaptive_eps or cfg.get("adaptive_eps", False):
@@ -157,7 +157,7 @@ def _cmd_optimize(args, cfg, problem, settings) -> int:
 
 def _cmd_mc(args, cfg, problem, settings) -> int:
     model = _make_model(problem, settings)
-    n_mc = args.n_mc or cfg.get("n_mc", 100)
+    n_mc = args.n_mc if args.n_mc is not None else cfg.get("n_mc", 100)
     window = tuple(cfg.get("window", (0.9 * problem.time_grid.t_end, problem.time_grid.t_end)))
     report = app.monte_carlo(model, n_mc, window, seed=settings["seed"])
     app.export_telemetry(report.records, args.out, events=model.events)

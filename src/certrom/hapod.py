@@ -12,34 +12,15 @@ import numpy as np
 
 from .core import Generator, NumericalError
 from .fom import FullOrderModel
-from .rb import EstimatorBuilder, RbRom, assemble_rb_rom
+from .rb import EstimatorBuilder, RbRom, assemble_rb_rom, orthonormalize
 
 
 def gram_schmidt(vectors, gram, existing: Optional[np.ndarray] = None, drop_tol: float = 1e-10) -> np.ndarray:
     """Orthonormalize columns w.r.t. the Gram inner product, against an optional
     existing orthonormal set; two projection passes, near-dependent columns are
-    dropped (post-projection norm below drop_tol times the original norm)."""
-    cols = np.asarray(vectors, dtype=float)
-    if cols.ndim == 1:
-        cols = cols[:, None]
-    kept = []
-    base = existing if existing is not None and existing.size else None
-    for j in range(cols.shape[1]):
-        v = cols[:, j].copy()
-        orig = math.sqrt(max(v @ (gram @ v), 0.0))
-        if orig == 0.0:
-            continue
-        blocks = [b for b in (base, np.column_stack(kept) if kept else None) if b is not None]
-        for _ in range(2):
-            for block in blocks:
-                v = v - block @ (block.T @ (gram @ v))
-        norm = math.sqrt(max(v @ (gram @ v), 0.0))
-        if norm < drop_tol * orig:
-            continue
-        kept.append(v / norm)
-    if not kept:
-        return np.zeros((cols.shape[0], 0))
-    return np.column_stack(kept)
+    dropped (post-projection norm below drop_tol times the original norm).
+    Returns only the new columns of ``orthonormalize``."""
+    return orthonormalize(vectors, gram, existing, drop_tol)[0]
 
 
 @dataclass(frozen=True)

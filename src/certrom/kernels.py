@@ -4,13 +4,14 @@ model/generator pair built on top of a reduced-basis ROM."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import CertifiedModel, Generator, OutputSignal, Trajectory
-from .rb import RbRom
+from .core import Trajectory
+from .rb import LearnedGenerator, LearnedRom, RbRom
 
 POWER_FLOOR = 1e-12  # squared power function below this is numerically exhausted
 
@@ -88,6 +89,20 @@ class KernelModel:
         if self.num_centers == 0:
             return np.zeros((xs.shape[0], self.out_dim))
         return kernel_matrix(xs, self.centers, self.gamma) @ self.coefficients
+
+    def padded(self, K: int, old_n: int, new_n: int) -> "KernelModel":
+        """Copy whose targets (row-major flattened K x old_n blocks) are
+        zero-padded to K x new_n, so predictions keep their old coordinates
+        and are zero in the new ones; the greedy state carries over."""
+        out = copy.copy(self)
+        out.out_dim = K * new_n
+        for name in ("coefficients", "_alpha_newton", "_train_y", "_residual"):
+            setattr(out, name, _pad_flat(getattr(self, name), K, old_n, new_n))
+        # arrays are only ever rebound, never written in place, so the copy
+        # may share them; the lists grow in place and must not be shared
+        out._selected = list(self._selected)
+        out.greedy_history = list(self.greedy_history)
+        return out
 
     # -- greedy machinery -------------------------------------------------
     def _ingest(self, xs: np.ndarray, ys: np.ndarray):
@@ -204,12 +219,12 @@ def load_kernel_model(path) -> KernelModel:
     return model
 
 
-class VkogaRom(CertifiedModel):
+class VkogaRom(LearnedRom):
     """Certified learned ROM: kernel-predicted reduced trajectories, with the
     output operator and error estimator shared from the underlying RB-ROM."""
 
     def __init__(self, rb_rom: RbRom, model: Optional[KernelModel]):
-        self.rb_rom = rb_rom
+        super().__init__(rb_rom)
         self.model = model
 
     @property
@@ -220,29 +235,16 @@ class VkogaRom(CertifiedModel):
         rom = self.rb_rom
         mu = rom.box.validate(mu)
         K = rom.time_grid.num_nodes
-        if self.model is None or self.model.num_centers == 0:
-            coeffs = np.zeros((K, rom.dim))
-        else:
-            flat = self.model.predict(rom.box.to_unit(mu)[None, :])[0]
-            coeffs = flat.reshape(K, rom.dim)
-        if rom.dim:
-            coeffs = coeffs.copy()
-            coeffs[0] = rom.init_coeffs
-        return Trajectory(rom.time_grid, coeffs)
-
-    def eval_output(self, mu) -> OutputSignal:
-        return self.rb_rom.output_of(self.eval_state(mu))
-
-    def est_output(self, mu) -> float:
-        return self.rb_rom.est_output_for(self.eval_state(mu), mu)
-
-    def est_state(self, mu) -> float:
-        return self.rb_rom.est_state_for(self.eval_state(mu), mu)
+        if self.size == 0:
+            return self._trajectory(np.zeros((K, rom.dim)))
+        flat = self.model.predict(rom.box.to_unit(mu)[None, :])[0]
+        return self._trajectory(flat.reshape(K, rom.dim))
 
 
-class VkogaGenerator(Generator):
+class VkogaGenerator(LearnedGenerator):
     """Collects (mu, reduced trajectory) samples from an RB-ROM and fits the
-    time-vectorized kernel predictor on demand."""
+    time-vectorized kernel predictor on demand; a fit resumes the previous
+    greedy only when samples were merely appended since."""
 
     def __init__(
         self,
@@ -250,34 +252,9 @@ class VkogaGenerator(Generator):
         config: KernelConfig = KernelConfig(),
         pending_threshold: int = 1,
     ):
-        self.rb_rom = rb_rom
+        super().__init__(rb_rom, pending_threshold)
         self.config = config
-        self.pending_threshold = max(1, int(pending_threshold))
-        self.samples: list = []  # (mu, reduced trajectory coeffs K x N)
         self._model: Optional[KernelModel] = None
-        self._fitted_count = 0
-        self._appended_only = True
-        self._pending = 0
-        self.trainings = 0
-
-    @property
-    def training_parameters(self) -> list:
-        return [mu for mu, _ in self.samples]
-
-    def extend(self, mu, trajectory: Optional[Trajectory] = None) -> None:
-        mu = self.rb_rom.box.validate(mu)
-        if trajectory is None:
-            trajectory = self.rb_rom.eval_state(mu)
-        if trajectory.dim != self.rb_rom.dim:
-            raise ValueError("trajectory dimension does not match the reduced basis")
-        for i, (old_mu, _) in enumerate(self.samples):
-            if np.array_equal(old_mu, mu):
-                self.samples[i] = (mu.copy(), trajectory.coeffs.copy())
-                self._appended_only = False
-                self._pending += 1
-                return
-        self.samples.append((mu.copy(), trajectory.coeffs.copy()))
-        self._pending += 1
 
     def _training_arrays(self):
         xs = np.array([self.rb_rom.box.to_unit(mu) for mu, _ in self.samples])
@@ -288,62 +265,25 @@ class VkogaGenerator(Generator):
         """The model as currently fitted (a zero predictor before any fit)."""
         return VkogaRom(self.rb_rom, self._model)
 
+    def _forget_model(self):
+        self._model = None
+
     def precompute(self, force: bool = False) -> VkogaRom:
-        if not self.samples:
-            raise ValueError("empty training set")
-        stale = self._fitted_count != len(self.samples) or not self._appended_only
-        retrain = stale and (force or self._pending >= self.pending_threshold)
-        if retrain:
+        if self._due(force):
             xs, ys = self._training_arrays()
             warm = self._model if self._appended_only else None
             self._model = vkoga_fit(xs, ys, self.config, warm=warm)
-            self._fitted_count = len(self.samples)
-            self._appended_only = True
-            self._pending = 0
-            self.trainings += 1
-        return VkogaRom(self.rb_rom, self._model)
+            self._fitted()
+        return self.current_model()
 
     def prolong(self, new_rb_rom: RbRom) -> "VkogaGenerator":
         """Re-layout all collected data (and the fitted expansion) onto an
         extended reduced basis by zero-padding the new coordinates."""
+        out = super().prolong(new_rb_rom)
         old_n, new_n = self.rb_rom.dim, new_rb_rom.dim
-        if new_n < old_n or not np.allclose(
-            new_rb_rom.basis.matrix[:, :old_n], self.rb_rom.basis.matrix, atol=1e-12
-        ):
-            raise ValueError("prolongation requires a nested reduced basis")
-        out = VkogaGenerator(new_rb_rom, self.config, self.pending_threshold)
-        if new_n == old_n:
-            out.samples = [(mu.copy(), c.copy()) for mu, c in self.samples]
-            out._model = self._model
-            out._fitted_count = self._fitted_count
-            out._appended_only = self._appended_only
-            out._pending = self._pending
-            out.trainings = self.trainings
-            return out
-
-        pad = new_n - old_n
-        out.samples = [
-            (mu.copy(), np.pad(c, ((0, 0), (0, pad)))) for mu, c in self.samples
-        ]
-        out._fitted_count = self._fitted_count
-        out._appended_only = self._appended_only
-        out._pending = self._pending
-        if self._model is not None and self._model.num_centers:
+        if new_n > old_n and self._model is not None:
             K = self.rb_rom.time_grid.num_nodes
-            model = KernelModel(self._model.gamma, self._model.dim, K * new_n)
-            model.centers = self._model.centers.copy()
-            model.newton_factor = self._model.newton_factor.copy()
-            model.coefficients = _pad_flat(self._model.coefficients, K, old_n, new_n)
-            model._alpha_newton = _pad_flat(self._model._alpha_newton, K, old_n, new_n)
-            model._train_x = self._model._train_x.copy()
-            model._train_y = _pad_flat(self._model._train_y, K, old_n, new_n)
-            model._basis_values = self._model._basis_values.copy()
-            model._power = self._model._power.copy()
-            model._residual = _pad_flat(self._model._residual, K, old_n, new_n)
-            model._selected = list(self._model._selected)
-            model.greedy_history = list(self._model.greedy_history)
-            out._model = model
-        out.trainings = self.trainings
+            out._model = self._model.padded(K, old_n, new_n) if self._model.num_centers else None
         return out
 
 

@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CertifiedModel, Generator, OutputSignal, Trajectory
-from .rb import RbRom
+from .core import Trajectory
+from .rb import LearnedGenerator, LearnedRom, RbRom
 
 
 @dataclass
@@ -239,24 +239,14 @@ class InputScaler:
 def dnn_predict_state(params: Optional[MlpParams], mu, rom: RbRom, scaler: InputScaler) -> Trajectory:
     """Predict reduced coefficients for all time nodes in one batched pass;
     the first row is replaced by the exact reduced initial coefficients."""
-    mu = rom.box.validate(mu)
-    K = rom.time_grid.num_nodes
-    if params is None or rom.dim == 0:
-        coeffs = np.zeros((K, rom.dim))
-    else:
-        inputs = np.column_stack([np.tile(mu, (K, 1)), rom.time_grid.nodes])
-        coeffs = mlp_forward(params, scaler.scale(inputs))
-    if rom.dim:
-        coeffs = coeffs.copy()
-        coeffs[0] = rom.init_coeffs
-    return Trajectory(rom.time_grid, coeffs)
+    return DnnRom(rom, params, scaler).eval_state(mu)
 
 
-class DnnRom(CertifiedModel):
+class DnnRom(LearnedRom):
     """Certified learned ROM with random-access-in-time prediction."""
 
     def __init__(self, rb_rom: RbRom, params: Optional[MlpParams], scaler: InputScaler):
-        self.rb_rom = rb_rom
+        super().__init__(rb_rom)
         self.params = params
         self.scaler = scaler
 
@@ -265,21 +255,19 @@ class DnnRom(CertifiedModel):
         return 0 if self.params is None else self.params.num_parameters
 
     def eval_state(self, mu) -> Trajectory:
-        return dnn_predict_state(self.params, mu, self.rb_rom, self.scaler)
-
-    def eval_output(self, mu) -> OutputSignal:
-        return self.rb_rom.output_of(self.eval_state(mu))
-
-    def est_output(self, mu) -> float:
-        return self.rb_rom.est_output_for(self.eval_state(mu), mu)
-
-    def est_state(self, mu) -> float:
-        return self.rb_rom.est_state_for(self.eval_state(mu), mu)
+        rom = self.rb_rom
+        mu = rom.box.validate(mu)
+        K = rom.time_grid.num_nodes
+        if self.params is None or rom.dim == 0:
+            return self._trajectory(np.zeros((K, rom.dim)))
+        inputs = np.column_stack([np.tile(mu, (K, 1)), rom.time_grid.nodes])
+        return self._trajectory(mlp_forward(self.params, self.scaler.scale(inputs)))
 
 
-class DnnGenerator(Generator):
+class DnnGenerator(LearnedGenerator):
     """Collects (mu, t_k) -> reduced-coefficient pairs from an RB-ROM; trains
-    the network once enough new samples have accumulated (or on demand)."""
+    the network once enough new samples have accumulated (or on demand),
+    warm-starting from the current parameters unless a discard forgot them."""
 
     def __init__(
         self,
@@ -288,33 +276,11 @@ class DnnGenerator(Generator):
         config: TrainConfig = TrainConfig(),
         pending_threshold: int = 200,
     ):
-        self.rb_rom = rb_rom
+        super().__init__(rb_rom, pending_threshold)
         self.hidden = tuple(hidden)
         self.config = config
-        self.pending_threshold = max(1, int(pending_threshold))
         self.scaler = InputScaler(rb_rom.box, rb_rom.time_grid.t_end)
-        self.samples: list = []  # (mu, reduced trajectory coeffs K x N)
         self.params: Optional[MlpParams] = None
-        self._pending = 0
-        self.trainings = 0
-
-    @property
-    def training_parameters(self) -> list:
-        return [mu for mu, _ in self.samples]
-
-    def extend(self, mu, trajectory: Optional[Trajectory] = None) -> None:
-        mu = self.rb_rom.box.validate(mu)
-        if trajectory is None:
-            trajectory = self.rb_rom.eval_state(mu)
-        if trajectory.dim != self.rb_rom.dim:
-            raise ValueError("trajectory dimension does not match the reduced basis")
-        for i, (old_mu, _) in enumerate(self.samples):
-            if np.array_equal(old_mu, mu):
-                self.samples[i] = (mu.copy(), trajectory.coeffs.copy())
-                self._pending += 1
-                return
-        self.samples.append((mu.copy(), trajectory.coeffs.copy()))
-        self._pending += 1
 
     def _training_arrays(self):
         nodes = self.rb_rom.time_grid.nodes
@@ -327,38 +293,26 @@ class DnnGenerator(Generator):
     def current_model(self) -> DnnRom:
         return DnnRom(self.rb_rom, self.params, self.scaler)
 
+    def _forget_model(self):
+        self.params = None
+
     def precompute(self, force: bool = False) -> DnnRom:
-        if not self.samples:
-            raise ValueError("empty training set")
-        if self.rb_rom.dim and (force or self._pending >= self.pending_threshold):
+        if self._due(force) and self.rb_rom.dim:
             xs, ys = self._training_arrays()
             sizes = [xs.shape[1], *self.hidden, self.rb_rom.dim]
             cfg = replace(self.config, seed=self.config.seed + self.trainings)
             self.params = mlp_train(xs, ys, sizes, cfg, warm_start=self.params)
-            self._pending = 0
-            self.trainings += 1
+            self._fitted()
         return self.current_model()
 
     def prolong(self, new_rb_rom: RbRom) -> "DnnGenerator":
         """Zero-pad stored targets and grow the final layer with zero rows, so
         previously learned outputs are unchanged until the next training."""
-        old_n, new_n = self.rb_rom.dim, new_rb_rom.dim
-        if new_n < old_n or not np.allclose(
-            new_rb_rom.basis.matrix[:, :old_n], self.rb_rom.basis.matrix, atol=1e-12
-        ):
-            raise ValueError("prolongation requires a nested reduced basis")
-        out = DnnGenerator(new_rb_rom, self.hidden, self.config, self.pending_threshold)
-        pad = new_n - old_n
-        out.samples = [
-            (mu.copy(), np.pad(c, ((0, 0), (0, pad))) if pad else c.copy())
-            for mu, c in self.samples
-        ]
-        out._pending = self._pending
-        out.trainings = self.trainings
-        if self.params is not None:
+        out = super().prolong(new_rb_rom)
+        pad = new_rb_rom.dim - self.rb_rom.dim
+        if pad and self.params is not None:
             params = self.params.copy()
-            if pad:
-                params.weights[-1] = np.vstack([params.weights[-1], np.zeros((pad, params.weights[-1].shape[1]))])
-                params.biases[-1] = np.concatenate([params.biases[-1], np.zeros(pad)])
+            params.weights[-1] = np.vstack([params.weights[-1], np.zeros((pad, params.weights[-1].shape[1]))])
+            params.biases[-1] = np.concatenate([params.biases[-1], np.zeros(pad)])
             out.params = params
         return out

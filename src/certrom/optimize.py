@@ -33,6 +33,8 @@ class NelderMeadConfig:
             raise ValueError("simplex coefficients must be positive")
         if min(self.xatol, self.fatol) <= 0:
             raise ValueError("convergence tolerances must be positive")
+        if self.max_evals < 1:
+            raise ValueError("evaluation budget must be at least 1")
 
 
 @dataclass

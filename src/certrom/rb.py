@@ -8,6 +8,8 @@ solution; that hook is what the learned state predictors plug into.
 
 from __future__ import annotations
 
+import abc
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -16,9 +18,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .core import NumericalError, OutputSignal, Trajectory
+from .core import CertifiedModel, Generator, NumericalError, OutputSignal, Trajectory
 from .fom import FomProblem
-from .fem import AffineOperator
 
 
 class RieszSolver:
@@ -45,22 +46,43 @@ def riesz_representative(gram, functional: np.ndarray) -> np.ndarray:
     return RieszSolver(gram).solve(np.asarray(functional, dtype=float))
 
 
-def min_theta_alpha(op: AffineOperator, mu, mu_bar) -> float:
-    """Coercivity lower bound min_q theta_q(mu) / theta_q(mu_bar) over the
-    symmetric components (all of which must be flagged theta > 0)."""
-    ratios = []
-    for c in op.components:
-        if not c.symmetric:
+def orthonormalize(vectors, gram, existing: Optional[np.ndarray] = None, drop_tol: float = 1e-10):
+    """Two-pass Gram-Schmidt of the columns w.r.t. the Gram inner product,
+    against an optional existing orthonormal set.
+
+    Returns the new orthonormal columns and the coordinates of every input
+    column in [existing | new columns], accumulated over both projection
+    passes. A column whose post-projection norm falls below drop_tol times
+    its original norm adds no direction and keeps only its projection
+    coordinates (a zero column has zero coordinates).
+    """
+    cols = np.asarray(vectors, dtype=float)
+    if cols.ndim == 1:
+        cols = cols[:, None]
+    num_old = 0 if existing is None else existing.shape[1]
+    base = existing if existing is not None and existing.size else None
+    coords = np.zeros((num_old + cols.shape[1], cols.shape[1]))
+    kept = []
+    for j in range(cols.shape[1]):
+        v = cols[:, j].copy()
+        orig = math.sqrt(max(v @ (gram @ v), 0.0))
+        if orig == 0.0:
             continue
-        if not c.positive:
-            raise ValueError("min-theta inapplicable")
-        tq, tq_bar = c.theta(mu), c.theta(mu_bar)
-        if tq <= 0.0 or tq_bar <= 0.0:
-            raise ValueError("min-theta inapplicable")
-        ratios.append(tq / tq_bar)
-    if not ratios:
-        raise ValueError("min-theta inapplicable")
-    return float(min(ratios))
+        blocks = [(0, base)] if base is not None else []
+        if kept:
+            blocks.append((num_old, np.column_stack(kept)))
+        for _ in range(2):
+            for offset, block in blocks:
+                c = block.T @ (gram @ v)
+                v = v - block @ c
+                coords[offset : offset + c.size, j] += c
+        norm = math.sqrt(max(v @ (gram @ v), 0.0))
+        if norm < drop_tol * orig:
+            continue
+        coords[num_old + len(kept), j] = norm
+        kept.append(v / norm)
+    new = np.column_stack(kept) if kept else np.zeros((cols.shape[0], 0))
+    return new, coords[: num_old + len(kept)]
 
 
 @dataclass(frozen=True)
@@ -275,30 +297,10 @@ class EstimatorBuilder:
     _DEFLATION = 1e-13
 
     def _append(self, vectors: np.ndarray, tags: list):
-        gram = self.problem.gram
-        new_cols = []
-        for j in range(vectors.shape[1]):
-            f = vectors[:, j]
-            rep = self.riesz.solve(f)
-            orig = math.sqrt(max(f @ rep, 0.0))
-            coords = np.zeros(self._range.shape[1])
-            for _ in range(2):
-                c = self._range.T @ (gram @ rep)
-                rep = rep - self._range @ c
-                coords += c
-            rem = math.sqrt(max(rep @ (gram @ rep), 0.0))
-            if rem > self._DEFLATION * max(orig, 1e-300):
-                self._range = np.hstack([self._range, rep[:, None] / rem])
-                self._coords = np.vstack(
-                    [self._coords, np.zeros((1, self._coords.shape[1]))]
-                )
-                coords = np.concatenate([coords, [rem]])
-            new_cols.append(coords)
-        width = self._range.shape[1]
-        block = np.zeros((width, len(new_cols)))
-        for j, c in enumerate(new_cols):
-            block[: c.size, j] = c
-        self._coords = np.hstack([self._coords, block])
+        reps = self.riesz.solve(vectors)
+        new, coords = orthonormalize(reps, self.problem.gram, self._range, drop_tol=self._DEFLATION)
+        self._range = np.hstack([self._range, new])
+        self._coords = np.hstack([np.pad(self._coords, ((0, new.shape[1]), (0, 0))), coords])
         self._tags.extend(tags)
 
     def add_basis_columns(self, new_columns: np.ndarray):
@@ -415,3 +417,116 @@ def rb_residual_bruteforce(problem: FomProblem, basis_matrix: np.ndarray, traj: 
         residual = b - p.mass @ (full[j + 1] - full[j]) / dt - op @ full[j + 1]
         norms[j] = riesz.dual_norm(residual)
     return norms
+
+
+class LearnedRom(CertifiedModel):
+    """Certified learned ROM: a backend predicts the reduced trajectory
+    (``eval_state``), the output operator and the error estimator are the
+    underlying RB-ROM's."""
+
+    def __init__(self, rb_rom: RbRom):
+        self.rb_rom = rb_rom
+
+    def _trajectory(self, coeffs: np.ndarray) -> Trajectory:
+        """Predicted coefficients with the first row replaced by the exact
+        reduced initial coefficients, as the estimator requires."""
+        if self.rb_rom.dim:
+            coeffs = coeffs.copy()
+            coeffs[0] = self.rb_rom.init_coeffs
+        return Trajectory(self.rb_rom.time_grid, coeffs)
+
+    def eval_output(self, mu) -> OutputSignal:
+        return self.rb_rom.output_of(self.eval_state(mu))
+
+    def est_output(self, mu) -> float:
+        return self.rb_rom.est_output_for(self.eval_state(mu), mu)
+
+    def est_state(self, mu) -> float:
+        return self.rb_rom.est_state_for(self.eval_state(mu), mu)
+
+
+class LearnedGenerator(Generator):
+    """Sample store of the learned backends: (mu, reduced trajectory) pairs
+    collected from an RB-ROM, refitted once ``pending_threshold`` store
+    changes accumulated since the last fit (or on demand), and carried onto
+    nested bases by zero-padding.
+
+    A backend fits in ``precompute`` when ``_due`` says so and reports it with
+    ``_fitted``; it pads its fitted model in ``prolong`` and drops it in
+    ``_forget_model``. ``_appended_only`` tells whether every sample since the
+    last fit was appended, none replaced.
+    """
+
+    def __init__(self, rb_rom: RbRom, pending_threshold: int):
+        self.rb_rom = rb_rom
+        self.pending_threshold = max(1, int(pending_threshold))
+        self.samples: list = []  # (mu, reduced trajectory coeffs K x N)
+        self._pending = 0
+        self._appended_only = True
+        self.trainings = 0
+
+    @property
+    def training_parameters(self) -> list:
+        return [mu for mu, _ in self.samples]
+
+    def extend(self, mu, trajectory: Optional[Trajectory] = None) -> None:
+        """Store the trajectory at mu (the RB solution by default); a stored
+        sample at the same mu is replaced."""
+        mu = self.rb_rom.box.validate(mu)
+        if trajectory is None:
+            trajectory = self.rb_rom.eval_state(mu)
+        if trajectory.dim != self.rb_rom.dim:
+            raise ValueError("trajectory dimension does not match the reduced basis")
+        sample = (mu.copy(), trajectory.coeffs.copy())
+        for i, (old_mu, _) in enumerate(self.samples):
+            if np.array_equal(old_mu, mu):
+                self.samples[i] = sample
+                self._appended_only = False
+                break
+        else:
+            self.samples.append(sample)
+        self._pending += 1
+
+    def discard(self, keep) -> int:
+        """Keep only the samples whose flag in ``keep`` is set; any removal
+        forgets the fitted model, so the next fit is cold. Returns the number
+        of samples removed."""
+        keep = list(keep)
+        if len(keep) != len(self.samples):
+            raise ValueError("need one keep flag per stored sample")
+        survivors = [s for s, k in zip(self.samples, keep) if k]
+        dropped = len(self.samples) - len(survivors)
+        if dropped:
+            self.samples = survivors
+            self._pending = max(self._pending, 1) if survivors else 0
+            self._forget_model()
+        return dropped
+
+    @abc.abstractmethod
+    def _forget_model(self): ...
+
+    def _due(self, force: bool) -> bool:
+        """Whether precompute must fit: the store changed since the last fit,
+        and either often enough or the caller insists."""
+        if not self.samples:
+            raise ValueError("empty training set")
+        return self._pending > 0 and (force or self._pending >= self.pending_threshold)
+
+    def _fitted(self):
+        self._pending = 0
+        self._appended_only = True
+        self.trainings += 1
+
+    def prolong(self, new_rb_rom: RbRom):
+        """Copy of the generator over an extended (nested) reduced basis, with
+        the stored trajectories zero-padded in the new coordinates; the
+        backend pads its fitted model on the returned copy."""
+        old_n, new_n = self.rb_rom.dim, new_rb_rom.dim
+        if new_n < old_n or not np.allclose(
+            new_rb_rom.basis.matrix[:, :old_n], self.rb_rom.basis.matrix, atol=1e-12
+        ):
+            raise ValueError("prolongation requires a nested reduced basis")
+        out = copy.copy(self)
+        out.rb_rom = new_rb_rom
+        out.samples = [(mu, np.pad(c, ((0, 0), (0, new_n - old_n)))) for mu, c in self.samples]
+        return out

@@ -57,12 +57,13 @@ def test_criterion_1_certification_soundness(heat_problem, coarse_reactive):
         fom = FullOrderModel(problem)
         rng = np.random.default_rng(2024)
         mus = [problem.box.sample(rng) for _ in range(n_mu)]
+        references = [fom.eval_output(mu) for mu in mus]  # solved once, audited at every eps
         for eps in (1e-1, 1e-2, 1e-3):
             model = make_adaptive_model(problem, eps=eps, ml_backend="vkoga")
             worst = 0.0
-            for mu in mus:
+            for mu, reference in zip(mus, references):
                 signal, _ = model.query(mu)
-                err = l2_time_norm(fom.eval_output(mu) - signal)
+                err = l2_time_norm(reference - signal)
                 worst = max(worst, err)
                 assert err <= eps * (1 + 1e-10), (label, eps, mu)
             results.append(f"{label}@{eps:.0e}: worst={worst:.2e}")

@@ -127,36 +127,51 @@ class TestStagnation:
         assert det.initial_objective == 100.0
 
 
+def learned_backend_models(heat_problem):
+    """The tolerance drop works through the learned tier's shared sample
+    store: one adaptive model per learned backend."""
+    return (
+        make_adaptive_model(heat_problem, eps=1e-2, ml_backend="vkoga"),
+        make_adaptive_model(
+            heat_problem, eps=1e-2, ml_backend="mlp", retrain="batch",
+            batch_threshold=4, hidden=(16, 16), seed=1,
+        ),
+    )
+
+
 class TestToleranceDrop:
-    def test_lenient_drop_keeps_samples(self, heat_problem, model):
-        rng = np.random.default_rng(21)
-        for _ in range(6):
-            model.query(heat_problem.box.sample(rng))
-        kept_before = len(model.ml_generator.samples)
-        dropped = apply_tolerance_drop(model, model.eps / 1.0000001)
-        assert dropped == 0
-        assert len(model.ml_generator.samples) == kept_before
+    def test_lenient_drop_keeps_samples(self, heat_problem):
+        for model in learned_backend_models(heat_problem):
+            rng = np.random.default_rng(21)
+            for _ in range(6):
+                model.query(heat_problem.box.sample(rng))
+            kept_before = len(model.ml_generator.samples)
+            dropped = apply_tolerance_drop(model, model.eps / 1.0000001)
+            assert dropped == 0
+            assert len(model.ml_generator.samples) == kept_before
 
-    def test_degenerate_drop_resets_model(self, heat_problem, model):
-        rng = np.random.default_rng(22)
-        for _ in range(6):
-            model.query(heat_problem.box.sample(rng))
-        apply_tolerance_drop(model, 1e-300)
-        assert len(model.ml_generator.samples) == 0
-        assert model.ml_rom.size == 0
+    def test_degenerate_drop_resets_model(self, heat_problem):
+        for model in learned_backend_models(heat_problem):
+            rng = np.random.default_rng(22)
+            for _ in range(6):
+                model.query(heat_problem.box.sample(rng))
+            apply_tolerance_drop(model, 1e-300)
+            assert len(model.ml_generator.samples) == 0
+            assert model.ml_rom.size == 0
 
-    def test_survivors_recertify(self, heat_problem, model):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            model.query(heat_problem.box.sample(rng))
-        new_eps = model.eps / 10
-        apply_tolerance_drop(model, new_eps)
-        rom = model.rb_rom
+    def test_survivors_recertify(self, heat_problem):
         from certrom import Trajectory
 
-        for mu, coeffs in model.ml_generator.samples:
-            traj = Trajectory(rom.time_grid, coeffs)
-            assert rom.est_output_for(traj, mu) <= new_eps
+        for model in learned_backend_models(heat_problem):
+            rng = np.random.default_rng(23)
+            for _ in range(10):
+                model.query(heat_problem.box.sample(rng))
+            new_eps = model.eps / 10
+            apply_tolerance_drop(model, new_eps)
+            rom = model.rb_rom
+            for mu, coeffs in model.ml_generator.samples:
+                traj = Trajectory(rom.time_grid, coeffs)
+                assert rom.est_output_for(traj, mu) <= new_eps
 
     def test_drop_must_tighten(self, heat_problem, model):
         with pytest.raises(ValueError):

@@ -161,6 +161,19 @@ class TestCli:
         result = json.loads((tmp_path / "opt" / "optimize.json").read_text())
         assert result["n_evals"] <= 25 + 3
 
+    def test_zero_max_evals_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, reference_mu=[1.25, 1.25], initial_mu=[0.8, 1.8])
+        code = cli(["optimize", "--config", cfg, "--max-evals", "0", "--out", str(tmp_path / "opt")])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "opt" / "optimize.json")
+
+    def test_zero_n_mc_is_a_usage_error(self, tmp_path, capsys):
+        code = cli(["mc", "--config", write_config(tmp_path), "--n-mc", "0", "--out", str(tmp_path / "mc")])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "mc" / "mc.json")
+
     def test_missing_config(self, tmp_path):
         assert cli(["info", "--config", str(tmp_path / "absent.json")]) == 1
 

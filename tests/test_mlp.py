@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,23 @@ class TestGenerator:
         assert dgen.trainings == 0 and ml.params is None
         ml = dgen.precompute(force=True)
         assert dgen.trainings == 1 and ml.params is not None
+
+
+    def test_discard_retrains_cold(self, rb_stack):
+        problem, fom, gen, rom, mus = rb_stack
+        cfg = TrainConfig(seed=6, max_epochs=3)
+        dgen = DnnGenerator(rom, hidden=(8,), config=cfg, pending_threshold=1)
+        for mu in mus[:3]:
+            dgen.extend(mu)
+        dgen.precompute()
+        assert dgen.discard([True, False, True]) == 1
+        assert dgen.params is None
+        retrained = dgen.precompute(force=True).params
+
+        xs, ys = dgen._training_arrays()
+        sizes = [xs.shape[1], 8, rom.dim]
+        cold = mlp_train(xs, ys, sizes, replace(cfg, seed=cfg.seed + 1))
+        assert np.array_equal(flat(retrained), flat(cold))
 
 
 class TestCheckpoint:

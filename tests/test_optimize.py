@@ -54,6 +54,11 @@ class TestNelderMead:
         assert not res.converged
         assert res.n_evals >= 5
 
+    def test_empty_budget_rejected(self):
+        # a budget of 0 would still evaluate the whole seed simplex
+        with pytest.raises(ValueError, match="budget"):
+            NelderMeadConfig(initial_point=[4.0, 4.0], max_evals=0)
+
 
 class TestOptimizeMisfit:
     def test_start_at_reference_parameter(self, heat_problem):

@@ -7,14 +7,16 @@ import scipy.sparse as sp
 from certrom import (
     AffineFunctional,
     AffineOperator,
+    FomProblem,
     FullOrderModel,
     NumericalError,
     OperatorComponent,
+    ParameterBox,
+    TimeGrid,
     Trajectory,
     assemble_rb_rom,
     gram_schmidt,
     l2_time_norm,
-    min_theta_alpha,
     rb_residual_bruteforce,
     riesz_representative,
 )
@@ -62,25 +64,44 @@ def _two_theta_operator():
     )
 
 
+def _two_theta_rom(mu_bar):
+    """Two-DoF problem with theta_q(mu) = mu_q on both (symmetric, positive)
+    components, reduced on the full identity basis."""
+    eye = sp.identity(2, format="csr")
+    problem = FomProblem(
+        operator=_two_theta_operator(),
+        mass=eye,
+        rhs=AffineFunctional((), 2),
+        output=np.ones(2),
+        time_grid=TimeGrid(1.0, 3),
+        gram=eye,
+        mu_bar=np.asarray(mu_bar, dtype=float),
+        box=ParameterBox(np.array([0.1, 0.1]), np.array([10.0, 10.0])),
+        initial=np.zeros(2),
+    )
+    return assemble_rb_rom(problem, np.eye(2))
+
+
 class TestMinTheta:
     def test_reference_parameter_gives_one(self):
-        op = _two_theta_operator()
-        assert min_theta_alpha(op, [1.7, 0.3], [1.7, 0.3]) == pytest.approx(1.0)
+        rom = _two_theta_rom([1.7, 0.3])
+        assert rom.alpha_lb([1.7, 0.3]) == pytest.approx(1.0)
 
     def test_min_of_ratios(self):
-        op = _two_theta_operator()
-        assert min_theta_alpha(op, [2.0, 3.0], [1.0, 1.0]) == pytest.approx(2.0)
+        rom = _two_theta_rom([1.0, 1.0])
+        assert rom.alpha_lb([2.0, 3.0]) == pytest.approx(2.0)
 
     def test_reactive_flow_hand_ratio(self, small_reactive_problem):
         p = small_reactive_problem
+        rom = assemble_rb_rom(p, np.zeros((p.dim, 0)))
         mu = np.array([0.01, 9.0])
         expected = min(1.0, 0.01 / 5.005)  # diffusion theta is constant 1
-        assert min_theta_alpha(p.operator, mu, p.mu_bar) == pytest.approx(expected, rel=1e-12)
+        assert rom.alpha_lb(mu) == pytest.approx(expected, rel=1e-12)
 
     def test_nonpositive_theta_rejected(self):
-        op = _two_theta_operator()
+        rom = _two_theta_rom([1.0, 1.0])
         with pytest.raises(ValueError, match="min-theta"):
-            min_theta_alpha(op, [-1.0, 1.0], [1.0, 1.0])
+            rom.alpha_lb([-1.0, 1.0])
 
 
 class TestReducedSolve:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from certrom import (
+    DnnGenerator,
     FullOrderModel,
     KernelConfig,
     RbGenerator,
+    TrainConfig,
     VkogaGenerator,
     kernel_eval,
     l2_time_norm,
@@ -84,6 +86,14 @@ class TestFit:
         assert np.isfinite(model.predict(xs)).all()
 
 
+# The sample store and the nested-basis check are shared by both learned
+# backends; tests of that contract run once per backend.
+LEARNED_BACKENDS = (
+    VkogaGenerator,
+    lambda rom: DnnGenerator(rom, hidden=(8,), config=TrainConfig(seed=0, max_epochs=3)),
+)
+
+
 @pytest.fixture(scope="module")
 def trained_stack(heat_problem):
     fom = FullOrderModel(heat_problem)
@@ -137,10 +147,11 @@ class TestGenerator:
 
     def test_duplicate_extend_replaces(self, trained_stack):
         problem, fom, rb_gen, rom, mus = trained_stack
-        gen = VkogaGenerator(rom)
-        gen.extend(mus[0])
-        gen.extend(mus[0])
-        assert len(gen.samples) == 1
+        for make in LEARNED_BACKENDS:
+            gen = make(rom)
+            gen.extend(mus[0])
+            gen.extend(mus[0])
+            assert len(gen.samples) == 1, type(gen).__name__
 
     def test_precompute_idempotent(self, trained_stack):
         problem, fom, rb_gen, rom, mus = trained_stack
@@ -154,6 +165,27 @@ class TestGenerator:
         problem, fom, rb_gen, rom, mus = trained_stack
         with pytest.raises(ValueError, match="empty training set"):
             VkogaGenerator(rom).precompute()
+
+    def test_refit_is_warm_only_after_appends(self, trained_stack):
+        problem, fom, rb_gen, rom, mus = trained_stack
+        gen = VkogaGenerator(rom)
+        for mu in mus[:2]:
+            gen.extend(mu)
+        model = gen.precompute().model
+        gen.extend(mus[2])
+        assert gen.precompute().model is model  # appended only: greedy resumed
+
+        assert gen.discard([True, False, True]) == 1
+        refit = gen.precompute(force=True).model
+        assert refit is not model  # a discard makes the refit cold
+        cold = vkoga_fit(*gen._training_arrays(), gen.config)
+        probe = rom.box.to_unit(mus[3])[None, :]
+        assert np.array_equal(refit.predict(probe), cold.predict(probe))
+
+        gen.extend(mus[0])  # replaces the stored trajectory at mus[0]
+        assert gen.precompute().model is not refit
+        with pytest.raises(ValueError, match="keep flag"):
+            gen.discard([True])
 
     def test_training_parameters_certify(self, trained_stack):
         problem, fom, rb_gen, rom, mus = trained_stack
@@ -224,10 +256,11 @@ class TestProlong:
 
         shuffled = rom.basis.matrix[:, ::-1].copy()
         other = assemble_rb_rom(problem, shuffled)
-        gen = VkogaGenerator(rom)
-        if rom.dim > 1:
-            with pytest.raises(ValueError, match="nested"):
-                gen.prolong(other)
+        for make in LEARNED_BACKENDS:
+            gen = make(rom)
+            if rom.dim > 1:
+                with pytest.raises(ValueError, match="nested"):
+                    gen.prolong(other)
 
 
 class TestCheckpoint:
