@@ -119,15 +119,15 @@ def _cmd_solve(args, cfg, problem, settings) -> int:
 
 
 def _cmd_optimize(args, cfg, problem, settings) -> int:
-    fom = FullOrderModel(problem)
-    mu_ref = np.asarray(cfg.get("reference_mu", problem.box.center), dtype=float)
-    reference = fom.eval_output(mu_ref)
-    model = _make_model(problem, settings)
     mu0 = np.asarray(cfg.get("initial_mu", problem.box.center), dtype=float)
     nm = NelderMeadConfig(
         initial_point=mu0,
         max_evals=args.max_evals if args.max_evals is not None else cfg.get("max_evals", 400),
     )
+    fom = FullOrderModel(problem)
+    mu_ref = np.asarray(cfg.get("reference_mu", problem.box.center), dtype=float)
+    reference = fom.eval_output(mu_ref)
+    model = _make_model(problem, settings)
     stagnation = None
     if args.adaptive_eps or cfg.get("adaptive_eps", False):
         stag_cfg = cfg.get("stagnation", {})
@@ -156,8 +156,10 @@ def _cmd_optimize(args, cfg, problem, settings) -> int:
 
 
 def _cmd_mc(args, cfg, problem, settings) -> int:
-    model = _make_model(problem, settings)
     n_mc = args.n_mc if args.n_mc is not None else cfg.get("n_mc", 100)
+    if n_mc < 2:
+        raise ValueError("Monte Carlo needs at least two samples")
+    model = _make_model(problem, settings)
     window = tuple(cfg.get("window", (0.9 * problem.time_grid.t_end, problem.time_grid.t_end)))
     report = app.monte_carlo(model, n_mc, window, seed=settings["seed"])
     app.export_telemetry(report.records, args.out, events=model.events)

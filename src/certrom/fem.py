@@ -360,6 +360,8 @@ class AffineFunctional:
 
     components: tuple
     dim: int
+    # time grid -> (K, Q) table of r_q(t_k), filled on first use per grid
+    _ramps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -378,6 +380,19 @@ class AffineFunctional:
         return np.array(
             [c.theta(mu) * (1.0 if c.ramp is None else c.ramp(t)) for c in self.components]
         )
+
+    def coefficient_table(self, mu, grid) -> np.ndarray:
+        """theta_q(mu) r_q(t_k) at every node t_k of the time grid, shape (K, Q);
+        row k equals ``coefficients(mu, t_k)``."""
+        ramps = self._ramps.get(grid)
+        if ramps is None:
+            nodes = grid.nodes
+            ramps = np.ones((nodes.size, len(self.components)))
+            for q, c in enumerate(self.components):
+                if c.ramp is not None:
+                    ramps[:, q] = [c.ramp(t) for t in nodes]
+            self._ramps[grid] = ramps
+        return ramps * np.array([c.theta(mu) for c in self.components])
 
     def assemble(self, mu, t: float) -> np.ndarray:
         if not self.components:
@@ -400,15 +415,15 @@ class DirichletLifting:
 
 def constrain_matrix(mat: sp.spmatrix, dofs: np.ndarray, diagonal: float) -> sp.csr_matrix:
     """Zero the given rows and columns and put `diagonal` on their diagonal."""
-    out = mat.tolil(copy=True)
-    out[dofs, :] = 0.0
-    out[:, dofs] = 0.0
-    out = out.tocsr()
-    if diagonal != 0.0:
-        diag = sp.coo_matrix(
-            (np.full(dofs.size, diagonal), (dofs, dofs)), shape=mat.shape
-        )
-        out = (out + diag).tocsr()
+    n = mat.shape[0]
+    free = np.ones(n)
+    free[dofs] = 0.0
+    index = np.arange(n + 1)
+    keep = sp.csr_matrix((free, index[:-1], index), shape=mat.shape)
+    fixed = sp.csr_matrix(((1.0 - free) * diagonal, index[:-1], index), shape=mat.shape)
+    out = (keep @ sp.csr_matrix(mat) @ keep + fixed).tocsr()
+    out.eliminate_zeros()
+    out.sort_indices()
     return out
 
 

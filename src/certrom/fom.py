@@ -68,12 +68,13 @@ class FullOrderModel(Model):
         except RuntimeError as exc:
             raise NumericalError("FOM step singular") from exc
         rhs_vectors = p.rhs.vectors()
+        rhs_steps = p.rhs.coefficient_table(mu, p.time_grid)[1:]
         u = p.initial_vector(mu)
         yield u
-        for t in p.time_grid.nodes[1:]:
+        for coeffs in rhs_steps:
             b = p.mass @ u
             if rhs_vectors.shape[1]:
-                b = b + dt * (rhs_vectors @ p.rhs.coefficients(mu, t))
+                b = b + dt * (rhs_vectors @ coeffs)
             u = solver.solve(b)
             if not np.all(np.isfinite(u)):
                 raise NumericalError("FOM step singular")

@@ -51,8 +51,10 @@ class KernelModel:
     """Fitted sparse kernel expansion sum_i alpha_i k(., x_i).
 
     Keeps the Newton-basis state (triangular change of basis, per-point basis
-    values, powers, residuals) so the greedy fit can be resumed when training
-    points are appended.
+    values, powers, residuals and their norms) so the greedy fit can be
+    resumed when training points are appended. The targets themselves are not
+    kept: a resumed fit reads them from the caller's rows, and the residuals
+    live in a row buffer that grows by doubling and is updated in place.
     """
 
     def __init__(self, gamma: float, dim: int, out_dim: int):
@@ -64,16 +66,24 @@ class KernelModel:
         self.newton_factor = np.zeros((0, 0))  # upper-triangular change of basis
         self._alpha_newton = np.zeros((0, out_dim))
         self._train_x = np.zeros((0, dim))
-        self._train_y = np.zeros((0, out_dim))
         self._basis_values = np.zeros((0, 0))  # Newton basis at all training points
         self._power = np.zeros(0)
-        self._residual = np.zeros((0, out_dim))
+        self._residual_rows = np.zeros((0, out_dim))  # first num_samples rows are live
+        self._residual_norms = np.zeros(0)
         self._selected: list = []
         self.greedy_history: list = []
 
     @property
     def num_centers(self) -> int:
         return self.centers.shape[0]
+
+    @property
+    def num_samples(self) -> int:
+        return self._train_x.shape[0]
+
+    @property
+    def _residual(self) -> np.ndarray:
+        return self._residual_rows[: self.num_samples]
 
     def rkhs_residual_decay(self) -> np.ndarray:
         """Hypothesis-space norm of the residual against the full fit after
@@ -96,10 +106,14 @@ class KernelModel:
         and are zero in the new ones; the greedy state carries over."""
         out = copy.copy(self)
         out.out_dim = K * new_n
-        for name in ("coefficients", "_alpha_newton", "_train_y", "_residual"):
-            setattr(out, name, _pad_flat(getattr(self, name), K, old_n, new_n))
-        # arrays are only ever rebound, never written in place, so the copy
-        # may share them; the lists grow in place and must not be shared
+        out.coefficients = _pad_flat(self.coefficients, K, old_n, new_n)
+        out._alpha_newton = _pad_flat(self._alpha_newton, K, old_n, new_n)
+        out._residual_rows = _pad_flat(self._residual, K, old_n, new_n)
+        # recomputed, not copied: the greedy compares norms of the rows it holds
+        out._residual_norms = np.linalg.norm(out._residual_rows, axis=1)
+        # the other arrays are only ever rebound, never written in place, so
+        # the copy may share them; the residual rows and the lists change in
+        # place and must not be shared
         out._selected = list(self._selected)
         out.greedy_history = list(self.greedy_history)
         return out
@@ -107,10 +121,10 @@ class KernelModel:
     # -- greedy machinery -------------------------------------------------
     def _ingest(self, xs: np.ndarray, ys: np.ndarray):
         """Register additional training points, extending the Newton state."""
-        self._train_x = np.vstack([self._train_x, xs])
-        self._train_y = np.vstack([self._train_y, ys])
-        if np.unique(self._train_x, axis=0).shape[0] != self._train_x.shape[0]:
+        train_x = np.vstack([self._train_x, xs])
+        if np.unique(train_x, axis=0).shape[0] != train_x.shape[0]:
             raise ValueError("coincident training inputs")
+        seen = self.num_samples
         if self.num_centers:
             kz = kernel_matrix(xs, self.centers, self.gamma)
             basis = kz @ self.newton_factor
@@ -121,14 +135,18 @@ class KernelModel:
         )
         power = 1.0 - np.sum(basis**2, axis=1)
         self._power = np.concatenate([self._power, np.maximum(power, 0.0)])
-        residual = ys - basis @ self._alpha_newton
-        self._residual = np.vstack([self._residual, residual])
+        self._residual_rows = _reserve_rows(self._residual_rows, seen, train_x.shape[0], self.out_dim)
+        self._train_x = train_x
+        fresh = self._residual_rows[seen : train_x.shape[0]]
+        np.subtract(ys, basis @ self._alpha_newton, out=fresh)
+        self._residual_norms = np.concatenate([self._residual_norms, np.linalg.norm(fresh, axis=1)])
 
-    def _greedy(self, config: KernelConfig):
-        n = self._train_x.shape[0]
+    def _greedy(self, config: KernelConfig, ys: np.ndarray):
+        n = self.num_samples
         max_centers = n if config.max_centers is None else min(config.max_centers, n)
+        added = False
         while self.num_centers < max_centers:
-            norms = np.linalg.norm(self._residual, axis=1)
+            norms = self._residual_norms.copy()
             norms[self._selected] = -np.inf
             pick = int(np.argmax(norms))
             if norms[pick] <= config.residual_tol and self.num_centers > 0:
@@ -137,7 +155,9 @@ class KernelModel:
                 break
             self.greedy_history.append(float(norms[pick]))
             self._add_center(pick)
-        self._refresh_coefficients(config)
+            added = True
+        if added:
+            self._refresh_coefficients(config, ys)
 
     def _add_center(self, pick: int):
         scale = np.sqrt(self._power[pick])
@@ -154,7 +174,10 @@ class KernelModel:
 
         self._basis_values = np.column_stack([self._basis_values, new_basis]) if self.num_centers else new_basis[:, None]
         self._power = np.maximum(self._power - new_basis**2, 0.0)
-        self._residual = self._residual - np.outer(new_basis, alpha)
+        residual = self._residual
+        for row, value in zip(residual, new_basis):  # in place, without a samples x out_dim temporary
+            row -= value * alpha
+        self._residual_norms = np.linalg.norm(residual, axis=1)
         self._alpha_newton = np.vstack([self._alpha_newton, alpha])
         m = self.num_centers
         grown = np.zeros((m + 1, m + 1))
@@ -164,14 +187,11 @@ class KernelModel:
         self.centers = np.vstack([self.centers, self._train_x[pick]])
         self._selected.append(pick)
 
-    def _refresh_coefficients(self, config: KernelConfig):
-        if self.num_centers == 0:
-            self.coefficients = np.zeros((0, self.out_dim))
-            return
+    def _refresh_coefficients(self, config: KernelConfig, ys: np.ndarray):
         if config.regularization > 0.0:
             kzz = kernel_matrix(self.centers, self.centers, self.gamma)
             m = self.num_centers
-            yz = self._train_y[self._selected]
+            yz = ys[self._selected]
             self.coefficients = np.linalg.solve(kzz + config.regularization * m * np.eye(m), yz)
         else:
             self.coefficients = self.newton_factor @ self._alpha_newton
@@ -180,23 +200,33 @@ class KernelModel:
 def vkoga_fit(
     xs: np.ndarray, ys: np.ndarray, config: KernelConfig, warm: Optional[KernelModel] = None
 ) -> KernelModel:
-    """Fit (or resume, when `warm` covers a prefix of the rows) the greedy model."""
+    """Fit the greedy model, or resume ``warm`` in place when given.
+
+    ``warm`` must have been fitted on a prefix of these rows with the same
+    kernel width. Its inputs are checked, and a mismatch raises ValueError.
+    Its targets are not compared: that would cost a pass over all stored
+    trajectories on every refit, so the caller vouches for them.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if xs.shape[0] != ys.shape[0] or xs.shape[0] == 0:
         raise ValueError("need equally many inputs and targets, at least one pair")
     gamma = config.gamma if config.gamma is not None else 1.0 / xs.shape[1]
-    if warm is not None and warm._train_x.shape[0] <= xs.shape[0] and np.array_equal(
-        warm._train_x, xs[: warm._train_x.shape[0]]
-    ) and np.array_equal(warm._train_y, ys[: warm._train_x.shape[0]]) and warm.gamma == gamma:
-        model = warm
-        new = slice(warm._train_x.shape[0], xs.shape[0])
-    else:
+    if warm is None:
         model = KernelModel(gamma, xs.shape[1], ys.shape[1])
-        new = slice(0, xs.shape[0])
-    if new.start < new.stop:
-        model._ingest(xs[new], ys[new])
-    model._greedy(config)
+    else:
+        seen = warm.num_samples
+        if (
+            warm.gamma != gamma
+            or warm.out_dim != ys.shape[1]
+            or seen > xs.shape[0]
+            or not np.array_equal(warm._train_x, xs[:seen])
+        ):
+            raise ValueError("warm model was not fitted on a prefix of these inputs")
+        model = warm
+    if model.num_samples < xs.shape[0]:
+        model._ingest(xs[model.num_samples :], ys[model.num_samples :])
+    model._greedy(config, ys)
     return model
 
 
@@ -255,11 +285,24 @@ class VkogaGenerator(LearnedGenerator):
         super().__init__(rb_rom, pending_threshold)
         self.config = config
         self._model: Optional[KernelModel] = None
+        self._targets = np.zeros((0, 0))  # row i: samples[i] flattened, for i < _stored
+        self._stored = 0
 
     def _training_arrays(self):
-        xs = np.array([self.rb_rom.box.to_unit(mu) for mu, _ in self.samples])
-        ys = np.array([coeffs.ravel() for _, coeffs in self.samples])
-        return xs, ys
+        """Inputs and flattened targets of all samples. The targets live in
+        one row block that grows by doubling; while the store only grew, just
+        the rows of the new samples are written."""
+        rom = self.rb_rom
+        width = rom.time_grid.num_nodes * rom.dim
+        if not self._appended_only or self._targets.shape[1] != width:
+            self._stored = 0
+        n = len(self.samples)
+        self._targets = _reserve_rows(self._targets, self._stored, n, width)
+        for i in range(self._stored, n):
+            self._targets[i] = self.samples[i][1].ravel()
+        self._stored = n
+        xs = np.array([rom.box.to_unit(mu) for mu, _ in self.samples])
+        return xs, self._targets[:n]
 
     def current_model(self) -> VkogaRom:
         """The model as currently fitted (a zero predictor before any fit)."""
@@ -267,6 +310,7 @@ class VkogaGenerator(LearnedGenerator):
 
     def _forget_model(self):
         self._model = None
+        self._stored = 0
 
     def precompute(self, force: bool = False) -> VkogaRom:
         if self._due(force):
@@ -280,11 +324,23 @@ class VkogaGenerator(LearnedGenerator):
         """Re-layout all collected data (and the fitted expansion) onto an
         extended reduced basis by zero-padding the new coordinates."""
         out = super().prolong(new_rb_rom)
+        out._targets, out._stored = np.zeros((0, 0)), 0  # rebuilt from the padded samples
         old_n, new_n = self.rb_rom.dim, new_rb_rom.dim
         if new_n > old_n and self._model is not None:
             K = self.rb_rom.time_grid.num_nodes
             out._model = self._model.padded(K, old_n, new_n) if self._model.num_centers else None
         return out
+
+
+def _reserve_rows(rows: np.ndarray, used: int, needed: int, width: int) -> np.ndarray:
+    """``rows`` when it has room for ``needed`` rows of ``width``, else a block
+    of at least twice the ``used`` rows that holds a copy of them."""
+    if rows.shape[1] == width and rows.shape[0] >= needed:
+        return rows
+    grown = np.empty((max(needed, 2 * used), width))
+    if used:
+        grown[:used] = rows[:used]
+    return grown
 
 
 def _pad_flat(rows: np.ndarray, K: int, old_n: int, new_n: int) -> np.ndarray:

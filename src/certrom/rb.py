@@ -12,13 +12,14 @@ import abc
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .core import CertifiedModel, Generator, NumericalError, OutputSignal, Trajectory
+from .fem import AffineFunctional
 from .fom import FomProblem
 
 
@@ -62,15 +63,16 @@ def orthonormalize(vectors, gram, existing: Optional[np.ndarray] = None, drop_to
     num_old = 0 if existing is None else existing.shape[1]
     base = existing if existing is not None and existing.size else None
     coords = np.zeros((num_old + cols.shape[1], cols.shape[1]))
-    kept = []
+    kept = np.empty(cols.shape)  # the first `count` columns are the new directions
+    count = 0
     for j in range(cols.shape[1]):
         v = cols[:, j].copy()
         orig = math.sqrt(max(v @ (gram @ v), 0.0))
         if orig == 0.0:
             continue
         blocks = [(0, base)] if base is not None else []
-        if kept:
-            blocks.append((num_old, np.column_stack(kept)))
+        if count:
+            blocks.append((num_old, kept[:, :count]))
         for _ in range(2):
             for offset, block in blocks:
                 c = block.T @ (gram @ v)
@@ -79,10 +81,10 @@ def orthonormalize(vectors, gram, existing: Optional[np.ndarray] = None, drop_to
         norm = math.sqrt(max(v @ (gram @ v), 0.0))
         if norm < drop_tol * orig:
             continue
-        coords[num_old + len(kept), j] = norm
-        kept.append(v / norm)
-    new = np.column_stack(kept) if kept else np.zeros((cols.shape[0], 0))
-    return new, coords[: num_old + len(kept)]
+        coords[num_old + count, j] = norm
+        kept[:, count] = v / norm
+        count += 1
+    return np.ascontiguousarray(kept[:, :count]), coords[: num_old + count]
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ class RbRom:
         operator_hats: list,
         operator_thetas: list,
         rhs_hats: np.ndarray,
-        rhs_coefficients: Callable,
+        rhs: AffineFunctional,
         output_hat: np.ndarray,
         output_shift: float,
         init_coeffs: np.ndarray,
@@ -159,7 +161,7 @@ class RbRom:
         self.operator_hats = operator_hats
         self.operator_thetas = operator_thetas
         self.rhs_hats = rhs_hats  # N_rb x Q_l
-        self.rhs_coefficients = rhs_coefficients  # (mu, t) -> (Q_l,)
+        self.rhs = rhs  # full-order functional: its coefficient table drives both online kernels
         self.output_hat = output_hat
         self.output_shift = output_shift
         self.init_coeffs = init_coeffs
@@ -185,6 +187,8 @@ class RbRom:
 
     # -- reduced solves ----------------------------------------------------
     def eval_state(self, mu) -> Trajectory:
+        """Implicit Euler in propagator form: with S = M + dt A(mu) factored
+        once, c_k = P c_{k-1} + g_k, P = S^-1 M and g_k = dt S^-1 l(mu, t_k)."""
         mu = self.box.validate(mu)
         K = self.time_grid.num_nodes
         n = self.dim
@@ -194,18 +198,13 @@ class RbRom:
         system = self.mass_hat + dt * sum(
             theta(mu) * mat for theta, mat in zip(self.operator_thetas, self.operator_hats)
         )
-        lu, piv = sla.lu_factor(system)
-        nodes = self.time_grid.nodes
+        solved = sla.lu_solve(sla.lu_factor(system), np.hstack([self.mass_hat, self.rhs_hats]))
+        propagator_t = np.ascontiguousarray(solved[:, :n].T)
         coeffs = np.empty((K, n))
         coeffs[0] = self.init_coeffs
-        if self.rhs_hats.shape[1]:
-            rhs_steps = np.column_stack([self.rhs_coefficients(mu, t) for t in nodes[1:]])
-            forcing = self.rhs_hats @ rhs_steps  # n x (K-1)
-        else:
-            forcing = np.zeros((n, K - 1))
+        coeffs[1:] = (dt * self.rhs.coefficient_table(mu, self.time_grid)[1:]) @ solved[:, n:].T
         for k in range(1, K):
-            b = self.mass_hat @ coeffs[k - 1] + dt * forcing[:, k - 1]
-            coeffs[k] = sla.lu_solve((lu, piv), b)
+            coeffs[k] += coeffs[k - 1] @ propagator_t
         if not np.all(np.isfinite(coeffs)):
             raise NumericalError("reduced system singular")
         return Trajectory(self.time_grid, coeffs)
@@ -223,28 +222,27 @@ class RbRom:
         return Trajectory(traj.grid, self.basis.reconstruct(traj.coeffs))
 
     # -- estimators ---------------------------------------------------------
-    def _residual_gammas(self, traj: Trajectory, mu) -> np.ndarray:
+    def residual_dual_norms(self, traj: Trajectory, mu) -> np.ndarray:
+        """Dual norms of the K-1 implicit Euler step defects of the trajectory.
+
+        Step k has the defect coordinates [l(mu, t_k) | -dc_k / dt | -c_k] @
+        [F_L; F_M; F_A(mu)], where the operator rows are collapsed first,
+        F_A(mu) = sum_q theta_q(mu) F_{A_q}. The step difference dc_k is formed
+        before the product: splitting it would cancel two large products."""
         est = self.estimator
         if traj.dim != est.num_basis:
             raise ValueError("trajectory dimension does not match the estimator data")
-        dt = self.time_grid.dt
-        nodes = self.time_grid.nodes
-        c_next = traj.coeffs[1:]
-        c_prev = traj.coeffs[:-1]
-        parts = []
-        if est.num_rhs:
-            parts.append(np.array([self.rhs_coefficients(mu, t) for t in nodes[1:]]))
-        else:
-            parts.append(np.zeros((len(nodes) - 1, 0)))
-        parts.append(-(c_next - c_prev) / dt)
-        thetas = [theta(mu) for theta in self.operator_thetas]
-        parts.extend(-tq * c_next for tq in thetas)
-        return np.hstack(parts)
-
-    def residual_dual_norms(self, traj: Trajectory, mu) -> np.ndarray:
-        """Dual norms of the K-1 implicit Euler step defects of the trajectory."""
-        gammas = self._residual_gammas(traj, mu)
-        prods = gammas @ self.estimator.factor
+        n, ql, factor = est.num_basis, est.num_rhs, est.factor
+        c = traj.coeffs
+        thetas = np.array([theta(mu) for theta in self.operator_thetas])
+        operator_rows = factor[ql + n :].reshape(est.num_operator, n, factor.shape[1])
+        rows = np.vstack([factor[: ql + n], np.tensordot(thetas, operator_rows, axes=1)])
+        gammas = np.hstack([
+            self.rhs.coefficient_table(mu, self.time_grid)[1:],
+            -(c[1:] - c[:-1]) / self.time_grid.dt,
+            -c[1:],
+        ])
+        prods = gammas @ rows
         return np.sqrt(np.maximum(np.einsum("kd,kd->k", prods, prods), 0.0))
 
     def _check_initial(self):
@@ -375,9 +373,6 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
     defect_vec = u0 - phi @ init_coeffs
     init_defect = float(np.sqrt(max(defect_vec @ (p.gram @ defect_vec), 0.0)))
 
-    def rhs_coefficients(mu, t):
-        return p.rhs.coefficients(mu, t)
-
     return RbRom(
         basis=basis,
         time_grid=p.time_grid,
@@ -385,7 +380,7 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
         operator_hats=operator_hats,
         operator_thetas=operator_thetas,
         rhs_hats=rhs_hats,
-        rhs_coefficients=rhs_coefficients,
+        rhs=p.rhs,
         output_hat=output_hat,
         output_shift=p.output_shift,
         init_coeffs=init_coeffs,

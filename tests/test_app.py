@@ -11,8 +11,23 @@ from certrom import (
     make_adaptive_model,
     monte_carlo,
 )
+from certrom import app
 from certrom.app import telemetry_header
 from certrom.cli import cli
+from certrom.fom import FullOrderModel
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Patch owner.name to record each call before delegating; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 class TestMonteCarlo:
@@ -161,18 +176,23 @@ class TestCli:
         result = json.loads((tmp_path / "opt" / "optimize.json").read_text())
         assert result["n_evals"] <= 25 + 3
 
-    def test_zero_max_evals_is_a_usage_error(self, tmp_path, capsys):
+    def test_zero_max_evals_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        solves = count_calls(monkeypatch, FullOrderModel, "iter_state")
         cfg = write_config(tmp_path, reference_mu=[1.25, 1.25], initial_mu=[0.8, 1.8])
         code = cli(["optimize", "--config", cfg, "--max-evals", "0", "--out", str(tmp_path / "opt")])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "opt" / "optimize.json")
+        assert solves == []  # rejected before any full-order work
 
-    def test_zero_n_mc_is_a_usage_error(self, tmp_path, capsys):
+    def test_zero_n_mc_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        solves = count_calls(monkeypatch, FullOrderModel, "iter_state")
+        builds = count_calls(monkeypatch, app, "make_adaptive_model")
         code = cli(["mc", "--config", write_config(tmp_path), "--n-mc", "0", "--out", str(tmp_path / "mc")])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "mc" / "mc.json")
+        assert solves == [] and builds == []  # rejected before the model is built
 
     def test_missing_config(self, tmp_path):
         assert cli(["info", "--config", str(tmp_path / "absent.json")]) == 1

@@ -327,6 +327,21 @@ class TestInvariants:
         diff = (op.assemble(mu) - mono).toarray()
         assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(mono.toarray()))
 
+    def test_constrain_matrix_matches_dense_oracle(self):
+        grid = build_grid((0, 1, 0, 1), 5, 3)
+        rng = np.random.default_rng(9)
+        velocity = rng.normal(size=(grid.num_cells, 2))
+        mat = assemble_diffusion(grid, np.ones(grid.num_cells)) + assemble_advection(grid, velocity)
+        dofs = grid.boundary_nodes()
+        for diagonal in (0.0, 1.0):
+            expected = mat.toarray()
+            expected[dofs, :] = 0.0
+            expected[:, dofs] = 0.0
+            expected[dofs, dofs] = diagonal
+            out = constrain_matrix(mat, dofs, diagonal)
+            assert np.array_equal(out.toarray(), expected)
+            assert out.has_canonical_format and np.all(out.data != 0.0)
+
     def test_constrain_matrix_zero_diagonal(self):
         grid = build_grid((0, 1, 0, 1), 2, 2)
         m = constrain_matrix(assemble_mass(grid), grid.boundary_nodes(), diagonal=0.0)

@@ -157,6 +157,16 @@ class TestBuilding:
             values.append(problem.output[free] @ u)
         assert np.allclose(sig.values, values, atol=1e-12)
 
+    def test_coefficient_table_matches_per_node_coefficients(self):
+        p = build_building()
+        assert any(c.ramp is not None for c in p.rhs.components)
+        rng = np.random.default_rng(8)
+        for _ in range(2):
+            mu = p.box.sample(rng)
+            table = p.rhs.coefficient_table(mu, p.time_grid)
+            per_node = np.array([p.rhs.coefficients(mu, t) for t in p.time_grid.nodes])
+            assert np.array_equal(table, per_node)
+
     def test_overlapping_rectangles_rejected(self):
         bad = BuildingConfig(heaters=((0.4, 0.7, 0.0, 0.2),) + BuildingConfig().heaters[1:])
         with pytest.raises(ValueError, match="overlapping"):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from certrom import (
@@ -104,7 +105,36 @@ class TestMinTheta:
             rom.alpha_lb([-1.0, 1.0])
 
 
+def stepwise_reduced_solve(rom, mu) -> np.ndarray:
+    """Reference implicit Euler for the reduced system: one LU solve per step
+    with the per-node forcing coefficients."""
+    dt = rom.time_grid.dt
+    system = rom.mass_hat + dt * sum(th(mu) * a for th, a in zip(rom.operator_thetas, rom.operator_hats))
+    lu = sla.lu_factor(system)
+    nodes = rom.time_grid.nodes
+    coeffs = np.empty((nodes.size, rom.dim))
+    coeffs[0] = rom.init_coeffs
+    for k in range(1, nodes.size):
+        b = rom.mass_hat @ coeffs[k - 1] + dt * (rom.rhs_hats @ rom.rhs.coefficients(mu, nodes[k]))
+        coeffs[k] = sla.lu_solve(lu, b)
+    return coeffs
+
+
 class TestReducedSolve:
+    def test_propagator_matches_stepwise_oracle(self, heat_problem, small_reactive_problem):
+        cases = (
+            (heat_problem, [[0.7, 1.8], [1.9, 0.6]]),
+            (small_reactive_problem, [[1.0, 10.0], [8.0, 9.5]]),
+        )
+        for problem, mus in cases:
+            rom = assemble_rb_rom(problem, snapshot_basis(problem, mus, drop_tol=1e-10))
+            rng = np.random.default_rng(13)
+            for mu in [np.asarray(m, dtype=float) for m in mus] + [problem.box.sample(rng)]:
+                fast = rom.eval_state(mu).coeffs
+                slow = stepwise_reduced_solve(rom, mu)
+                assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow)), (rom.dim, mu)
+
+
     def test_empty_basis_trajectory_and_output(self, heat_problem):
         rom = assemble_rb_rom(heat_problem, np.zeros((heat_problem.dim, 0)))
         traj = rom.eval_state([1.0, 1.0])

@@ -78,6 +78,31 @@ class TestFit:
         model = vkoga_fit(xs, ys, KernelConfig(max_centers=7))
         assert model.num_centers == 7
 
+    def test_warm_fit_needs_a_prefix_of_the_inputs(self):
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(size=(6, 2))
+        ys = rng.normal(size=(6, 3))
+        warm = vkoga_fit(xs[:4], ys[:4], KernelConfig())
+        with pytest.raises(ValueError, match="prefix"):
+            vkoga_fit(xs[::-1], ys[::-1], KernelConfig(), warm=warm)
+        with pytest.raises(ValueError, match="prefix"):
+            vkoga_fit(xs[:3], ys[:3], KernelConfig(), warm=warm)
+        with pytest.raises(ValueError, match="prefix"):
+            vkoga_fit(xs, ys, KernelConfig(gamma=3.0), warm=warm)
+        assert vkoga_fit(xs, ys, KernelConfig(), warm=warm) is warm
+
+    def test_warm_fit_without_new_center_keeps_coefficients(self):
+        rng = np.random.default_rng(6)
+        xs = rng.uniform(size=(5, 2))
+        ys = rng.normal(size=(5, 3))
+        config = KernelConfig(max_centers=2)
+        model = vkoga_fit(xs[:4], ys[:4], config)
+        coefficients, before = model.coefficients, model.predict(xs)
+        assert model.num_centers == 2
+        assert vkoga_fit(xs, ys, config, warm=model) is model
+        assert model.num_centers == 2 and model.coefficients is coefficients
+        assert np.array_equal(model.predict(xs), before)
+
     def test_ridge_regularization_path(self):
         rng = np.random.default_rng(4)
         xs = rng.uniform(size=(12, 2))
