@@ -48,7 +48,6 @@ from .kernels import (
     KernelModel,
     VkogaGenerator,
     VkogaRom,
-    kernel_eval,
     load_kernel_model,
     save_kernel_model,
     vkoga_fit,
@@ -80,8 +79,6 @@ from .rb import (
     ReducedBasis,
     RieszSolver,
     assemble_rb_rom,
-    rb_residual_bruteforce,
-    riesz_representative,
 )
 
 __version__ = "0.1.0"

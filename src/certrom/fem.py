@@ -71,11 +71,14 @@ class StructuredGrid:
         n00 = cj * (self.nx + 1) + ci
         return np.column_stack([n00, n00 + 1, n00 + self.nx + 1, n00 + self.nx + 2])
 
-    @property
-    def cell_centers(self) -> np.ndarray:
+    def _center_axes(self):
         cx = self.x0 + (np.arange(self.nx) + 0.5) * self.hx
         cy = self.y0 + (np.arange(self.ny) + 0.5) * self.hy
-        xx, yy = np.meshgrid(cx, cy)
+        return cx, cy
+
+    @property
+    def cell_centers(self) -> np.ndarray:
+        xx, yy = np.meshgrid(*self._center_axes())
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     def boundary_nodes(self) -> np.ndarray:
@@ -91,9 +94,10 @@ class StructuredGrid:
     def cells_in_rectangle(self, rect) -> np.ndarray:
         """Indices of cells whose center lies in [rx0, rx1] x [ry0, ry1]."""
         rx0, rx1, ry0, ry1 = rect
-        c = self.cell_centers
-        inside = (c[:, 0] >= rx0) & (c[:, 0] <= rx1) & (c[:, 1] >= ry0) & (c[:, 1] <= ry1)
-        return np.flatnonzero(inside)
+        cx, cy = self._center_axes()
+        cols = np.flatnonzero((cx >= rx0) & (cx <= rx1))
+        rows = np.flatnonzero((cy >= ry0) & (cy <= ry1))
+        return (rows[:, None] * self.nx + cols).ravel()
 
 
 def build_grid(domain, nx: int, ny: int) -> StructuredGrid:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +30,7 @@ class FomProblem:
     gram: sp.csr_matrix
     mu_bar: np.ndarray
     box: ParameterBox
-    initial: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
+    initial: np.ndarray
     output_shift: float = 0.0
     lifting: Optional[DirichletLifting] = None
     grid: Optional[StructuredGrid] = None
@@ -40,9 +40,8 @@ class FomProblem:
     def dim(self) -> int:
         return self.operator.dim
 
-    def initial_vector(self, mu) -> np.ndarray:
-        u0 = self.initial(mu) if callable(self.initial) else self.initial
-        return np.asarray(u0, dtype=float).copy()
+    def initial_vector(self) -> np.ndarray:
+        return np.array(self.initial, dtype=float)
 
     def lift(self, traj: Trajectory) -> Trajectory:
         """Add the Dirichlet lifting back onto a homogeneous-space trajectory."""
@@ -69,7 +68,7 @@ class FullOrderModel(Model):
             raise NumericalError("FOM step singular") from exc
         rhs_vectors = p.rhs.vectors()
         rhs_steps = p.rhs.coefficient_table(mu, p.time_grid)[1:]
-        u = p.initial_vector(mu)
+        u = p.initial_vector()
         yield u
         for coeffs in rhs_steps:
             b = p.mass @ u

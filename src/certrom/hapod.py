@@ -230,7 +230,7 @@ class RbGenerator(Generator):
             return
         self.mus.append(mu.copy())
 
-        u0 = problem.initial_vector(mu)
+        u0 = problem.initial_vector()
         norm0 = float(np.sqrt(max(u0 @ (problem.gram @ u0), 0.0)))
         if norm0 > 0.0:
             defect = u0 - self.basis @ (self.basis.T @ (problem.gram @ u0)) if self.basis.shape[1] else u0

@@ -11,17 +11,9 @@ from typing import Optional
 import numpy as np
 
 from .core import Trajectory
-from .rb import LearnedGenerator, LearnedRom, RbRom
+from .rb import LearnedGenerator, LearnedRom, RbRom, _pad_flat, _reserve_rows
 
 POWER_FLOOR = 1e-12  # squared power function below this is numerically exhausted
-
-
-def kernel_eval(x, y, gamma: float) -> float:
-    """Gaussian kernel exp(-gamma * ||x - y||^2)."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("kernel arguments must share a dimension")
-    return float(np.exp(-gamma * np.sum((x - y) ** 2)))
 
 
 def kernel_matrix(xs: np.ndarray, ys: np.ndarray, gamma: float) -> np.ndarray:
@@ -285,24 +277,6 @@ class VkogaGenerator(LearnedGenerator):
         super().__init__(rb_rom, pending_threshold)
         self.config = config
         self._model: Optional[KernelModel] = None
-        self._targets = np.zeros((0, 0))  # row i: samples[i] flattened, for i < _stored
-        self._stored = 0
-
-    def _training_arrays(self):
-        """Inputs and flattened targets of all samples. The targets live in
-        one row block that grows by doubling; while the store only grew, just
-        the rows of the new samples are written."""
-        rom = self.rb_rom
-        width = rom.time_grid.num_nodes * rom.dim
-        if not self._appended_only or self._targets.shape[1] != width:
-            self._stored = 0
-        n = len(self.samples)
-        self._targets = _reserve_rows(self._targets, self._stored, n, width)
-        for i in range(self._stored, n):
-            self._targets[i] = self.samples[i][1].ravel()
-        self._stored = n
-        xs = np.array([rom.box.to_unit(mu) for mu, _ in self.samples])
-        return xs, self._targets[:n]
 
     def current_model(self) -> VkogaRom:
         """The model as currently fitted (a zero predictor before any fit)."""
@@ -310,13 +284,12 @@ class VkogaGenerator(LearnedGenerator):
 
     def _forget_model(self):
         self._model = None
-        self._stored = 0
 
     def precompute(self, force: bool = False) -> VkogaRom:
         if self._due(force):
-            xs, ys = self._training_arrays()
+            xs = np.array([self.rb_rom.box.to_unit(mu) for mu in self._mus])
             warm = self._model if self._appended_only else None
-            self._model = vkoga_fit(xs, ys, self.config, warm=warm)
+            self._model = vkoga_fit(xs, self._targets(), self.config, warm=warm)
             self._fitted()
         return self.current_model()
 
@@ -324,28 +297,9 @@ class VkogaGenerator(LearnedGenerator):
         """Re-layout all collected data (and the fitted expansion) onto an
         extended reduced basis by zero-padding the new coordinates."""
         out = super().prolong(new_rb_rom)
-        out._targets, out._stored = np.zeros((0, 0)), 0  # rebuilt from the padded samples
         old_n, new_n = self.rb_rom.dim, new_rb_rom.dim
         if new_n > old_n and self._model is not None:
             K = self.rb_rom.time_grid.num_nodes
             out._model = self._model.padded(K, old_n, new_n) if self._model.num_centers else None
         return out
 
-
-def _reserve_rows(rows: np.ndarray, used: int, needed: int, width: int) -> np.ndarray:
-    """``rows`` when it has room for ``needed`` rows of ``width``, else a block
-    of at least twice the ``used`` rows that holds a copy of them."""
-    if rows.shape[1] == width and rows.shape[0] >= needed:
-        return rows
-    grown = np.empty((max(needed, 2 * used), width))
-    if used:
-        grown[:used] = rows[:used]
-    return grown
-
-
-def _pad_flat(rows: np.ndarray, K: int, old_n: int, new_n: int) -> np.ndarray:
-    """Pad row-major flattened (K x old_n) row vectors to (K x new_n)."""
-    if rows.size == 0:
-        return np.zeros((rows.shape[0], K * new_n))
-    blocks = rows.reshape(rows.shape[0], K, old_n)
-    return np.pad(blocks, ((0, 0), (0, 0), (0, new_n - old_n))).reshape(rows.shape[0], K * new_n)

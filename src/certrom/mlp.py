@@ -284,11 +284,10 @@ class DnnGenerator(LearnedGenerator):
 
     def _training_arrays(self):
         nodes = self.rb_rom.time_grid.nodes
-        xs, ys = [], []
-        for mu, coeffs in self.samples:
-            xs.append(self.scaler.scale(np.column_stack([np.tile(mu, (len(nodes), 1)), nodes])))
-            ys.append(coeffs)
-        return np.vstack(xs), np.vstack(ys)
+        xs = np.vstack([
+            self.scaler.scale(np.column_stack([np.tile(mu, (len(nodes), 1)), nodes])) for mu in self._mus
+        ])
+        return xs, self._targets().reshape(len(xs), self.rb_rom.dim)
 
     def current_model(self) -> DnnRom:
         return DnnRom(self.rb_rom, self.params, self.scaler)

@@ -5,6 +5,7 @@ throughout the tests and demos."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -34,12 +35,13 @@ from .fem import (
 from .fom import FomProblem
 
 
-def _theta_const(value: float = 1.0):
-    return lambda mu, _v=value: _v
+# theta_q are partials of these, not closures, so that problems pickle
+def _theta_const(value: float, mu) -> float:
+    return value
 
 
-def _theta_component(index: int):
-    return lambda mu, _i=index: float(np.asarray(mu)[_i])
+def _theta_component(index: int, mu) -> float:
+    return float(np.asarray(mu)[index])
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +96,9 @@ def build_reactive_flow(config: ReactiveFlowConfig = ReactiveFlowConfig()) -> Fo
     reaction = assemble_reaction(grid, washcoat.astype(float))
     operator = AffineOperator(
         (
-            OperatorComponent(_theta_const(1.0), diffusion, symmetric=True, positive=True, name="diffusion"),
-            OperatorComponent(_theta_component(1), advection, symmetric=False, positive=True, name="advection"),
-            OperatorComponent(_theta_component(0), reaction, symmetric=True, positive=True, name="reaction"),
+            OperatorComponent(partial(_theta_const, 1.0), diffusion, symmetric=True, positive=True, name="diffusion"),
+            OperatorComponent(partial(_theta_component, 1), advection, symmetric=False, positive=True, name="advection"),
+            OperatorComponent(partial(_theta_component, 0), reaction, symmetric=True, positive=True, name="reaction"),
         )
     )
 
@@ -257,7 +259,7 @@ def build_building(config: BuildingConfig = BuildingConfig()) -> FomProblem:
         background[grid.cells_in_rectangle(rect)] = 0.0
     components.append(
         OperatorComponent(
-            _theta_const(1.0),
+            partial(_theta_const, 1.0),
             assemble_weighted_stiffness(grid, background),
             symmetric=True,
             positive=True,
@@ -270,7 +272,7 @@ def build_building(config: BuildingConfig = BuildingConfig()) -> FomProblem:
         kind = "wall" if j < len(cfg.walls) else "door"
         components.append(
             OperatorComponent(
-                _theta_component(j),
+                partial(_theta_component, j),
                 assemble_weighted_stiffness(grid, weights),
                 symmetric=True,
                 positive=True,
@@ -291,7 +293,7 @@ def build_building(config: BuildingConfig = BuildingConfig()) -> FomProblem:
             vec[n] += quarter
         rhs_components.append(
             FunctionalComponent(
-                _theta_component(heater_offset + j), vec, ramp=heater_ramp, name=f"heater{j}"
+                partial(_theta_component, heater_offset + j), vec, ramp=heater_ramp, name=f"heater{j}"
             )
         )
     rhs = AffineFunctional(tuple(rhs_components), grid.num_nodes)
@@ -369,14 +371,14 @@ def build_heat_square(config: HeatSquareConfig = HeatSquareConfig()) -> FomProbl
     operator = AffineOperator(
         (
             OperatorComponent(
-                _theta_component(0),
+                partial(_theta_component, 0),
                 assemble_weighted_stiffness(grid, left.astype(float)),
                 symmetric=True,
                 positive=True,
                 name="left",
             ),
             OperatorComponent(
-                _theta_component(1),
+                partial(_theta_component, 1),
                 assemble_weighted_stiffness(grid, (~left).astype(float)),
                 symmetric=True,
                 positive=True,
@@ -386,7 +388,7 @@ def build_heat_square(config: HeatSquareConfig = HeatSquareConfig()) -> FomProbl
     )
     load = assemble_mass(grid) @ np.ones(grid.num_nodes)
     rhs = AffineFunctional(
-        (FunctionalComponent(_theta_const(1.0), load, name="source"),), grid.num_nodes
+        (FunctionalComponent(partial(_theta_const, 1.0), load, name="source"),), grid.num_nodes
     )
 
     constrained = grid.boundary_nodes()

@@ -42,11 +42,6 @@ class RieszSolver:
         return float(np.sqrt(max(functional @ rep, 0.0)))
 
 
-def riesz_representative(gram, functional: np.ndarray) -> np.ndarray:
-    """Solve G r = f; the dual norm of f is sqrt(f . r)."""
-    return RieszSolver(gram).solve(np.asarray(functional, dtype=float))
-
-
 def orthonormalize(vectors, gram, existing: Optional[np.ndarray] = None, drop_tol: float = 1e-10):
     """Two-pass Gram-Schmidt of the columns w.r.t. the Gram inner product,
     against an optional existing orthonormal set.
@@ -366,9 +361,7 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
     rhs_hats = phi.T @ rhs_vectors if rhs_vectors.shape[1] else np.zeros((phi.shape[1], 0))
     output_hat = phi.T @ p.output
 
-    if callable(p.initial):
-        raise NotImplementedError("parametric initial data is not supported by the reduced model")
-    u0 = p.initial_vector(None)
+    u0 = p.initial_vector()
     init_coeffs = basis.project_coeffs(u0)
     defect_vec = u0 - phi @ init_coeffs
     init_defect = float(np.sqrt(max(defect_vec @ (p.gram @ defect_vec), 0.0)))
@@ -390,28 +383,6 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
         box=p.box,
         parameter_names=p.parameter_names,
     )
-
-
-def rb_residual_bruteforce(problem: FomProblem, basis_matrix: np.ndarray, traj: Trajectory, mu) -> np.ndarray:
-    """Full-space assembly of the step defects and their dual norms.
-
-    Independent O(N_h)-per-step cross-check of ``RbRom.residual_dual_norms``.
-    """
-    p = problem
-    mu = p.box.validate(mu)
-    phi = np.asarray(basis_matrix, dtype=float)
-    op = p.operator.assemble(mu)
-    rhs_vectors = p.rhs.vectors()
-    riesz = RieszSolver(p.gram)
-    dt = p.time_grid.dt
-    nodes = p.time_grid.nodes
-    full = traj.coeffs @ phi.T if phi.shape[1] else np.zeros((traj.coeffs.shape[0], p.dim))
-    norms = np.empty(len(nodes) - 1)
-    for j in range(len(nodes) - 1):
-        b = rhs_vectors @ p.rhs.coefficients(mu, nodes[j + 1]) if rhs_vectors.shape[1] else np.zeros(p.dim)
-        residual = b - p.mass @ (full[j + 1] - full[j]) / dt - op @ full[j + 1]
-        norms[j] = riesz.dual_norm(residual)
-    return norms
 
 
 class LearnedRom(CertifiedModel):
@@ -446,6 +417,9 @@ class LearnedGenerator(Generator):
     changes accumulated since the last fit (or on demand), and carried onto
     nested bases by zero-padding.
 
+    Each trajectory is kept once, as row i of a block that grows by doubling
+    (sample i's K x N trajectory, row-major); backends fit on views of it.
+
     A backend fits in ``precompute`` when ``_due`` says so and reports it with
     ``_fitted``; it pads its fitted model in ``prolong`` and drops it in
     ``_forget_model``. ``_appended_only`` tells whether every sample since the
@@ -455,14 +429,25 @@ class LearnedGenerator(Generator):
     def __init__(self, rb_rom: RbRom, pending_threshold: int):
         self.rb_rom = rb_rom
         self.pending_threshold = max(1, int(pending_threshold))
-        self.samples: list = []  # (mu, reduced trajectory coeffs K x N)
+        self._mus: list = []
+        self._rows = np.empty((0, 0))  # the first len(_mus) rows are live
         self._pending = 0
         self._appended_only = True
         self.trainings = 0
 
     @property
+    def samples(self) -> list:
+        """(mu, K x N trajectory) pairs, trajectories as read-only views."""
+        views = self._targets().reshape(len(self._mus), self.rb_rom.time_grid.num_nodes, self.rb_rom.dim)
+        views.flags.writeable = False
+        return list(zip(self._mus, views))
+
+    @property
     def training_parameters(self) -> list:
-        return [mu for mu, _ in self.samples]
+        return list(self._mus)
+
+    def _targets(self) -> np.ndarray:
+        return self._rows[: len(self._mus)]
 
     def extend(self, mu, trajectory: Optional[Trajectory] = None) -> None:
         """Store the trajectory at mu (the RB solution by default); a stored
@@ -470,16 +455,16 @@ class LearnedGenerator(Generator):
         mu = self.rb_rom.box.validate(mu)
         if trajectory is None:
             trajectory = self.rb_rom.eval_state(mu)
-        if trajectory.dim != self.rb_rom.dim:
-            raise ValueError("trajectory dimension does not match the reduced basis")
-        sample = (mu.copy(), trajectory.coeffs.copy())
-        for i, (old_mu, _) in enumerate(self.samples):
-            if np.array_equal(old_mu, mu):
-                self.samples[i] = sample
-                self._appended_only = False
-                break
+        if trajectory.coeffs.shape != (self.rb_rom.time_grid.num_nodes, self.rb_rom.dim):
+            raise ValueError("trajectory does not match the reduced basis and time grid")
+        n = len(self._mus)
+        i = next((j for j, old_mu in enumerate(self._mus) if np.array_equal(old_mu, mu)), n)
+        if i < n:
+            self._appended_only = False
         else:
-            self.samples.append(sample)
+            self._rows = _reserve_rows(self._rows, n, n + 1, trajectory.coeffs.size)
+            self._mus.append(mu.copy())
+        self._rows[i] = trajectory.coeffs.ravel()
         self._pending += 1
 
     def discard(self, keep) -> int:
@@ -487,13 +472,14 @@ class LearnedGenerator(Generator):
         forgets the fitted model, so the next fit is cold. Returns the number
         of samples removed."""
         keep = list(keep)
-        if len(keep) != len(self.samples):
+        if len(keep) != len(self._mus):
             raise ValueError("need one keep flag per stored sample")
-        survivors = [s for s, k in zip(self.samples, keep) if k]
-        dropped = len(self.samples) - len(survivors)
+        kept = [i for i, k in enumerate(keep) if k]
+        dropped = len(keep) - len(kept)
         if dropped:
-            self.samples = survivors
-            self._pending = max(self._pending, 1) if survivors else 0
+            self._rows[: len(kept)] = self._rows[kept]
+            self._mus = [self._mus[i] for i in kept]
+            self._pending = max(self._pending, 1) if kept else 0
             self._forget_model()
         return dropped
 
@@ -503,7 +489,7 @@ class LearnedGenerator(Generator):
     def _due(self, force: bool) -> bool:
         """Whether precompute must fit: the store changed since the last fit,
         and either often enough or the caller insists."""
-        if not self.samples:
+        if not self._mus:
             raise ValueError("empty training set")
         return self._pending > 0 and (force or self._pending >= self.pending_threshold)
 
@@ -523,5 +509,25 @@ class LearnedGenerator(Generator):
             raise ValueError("prolongation requires a nested reduced basis")
         out = copy.copy(self)
         out.rb_rom = new_rb_rom
-        out.samples = [(mu, np.pad(c, ((0, 0), (0, new_n - old_n)))) for mu, c in self.samples]
+        out._mus = list(self._mus)
+        out._rows = _pad_flat(self._targets(), self.rb_rom.time_grid.num_nodes, old_n, new_n)
         return out
+
+
+def _reserve_rows(rows: np.ndarray, used: int, needed: int, width: int) -> np.ndarray:
+    """``rows`` when it has room for ``needed`` rows of ``width``, else a block
+    of at least twice the ``used`` rows that holds a copy of them."""
+    if rows.shape[1] == width and rows.shape[0] >= needed:
+        return rows
+    grown = np.empty((max(needed, 2 * used), width))
+    if used:
+        grown[:used] = rows[:used]
+    return grown
+
+
+def _pad_flat(rows: np.ndarray, K: int, old_n: int, new_n: int) -> np.ndarray:
+    """Pad row-major flattened (K x old_n) row vectors to (K x new_n)."""
+    if rows.size == 0:
+        return np.zeros((rows.shape[0], K * new_n))
+    blocks = rows.reshape(rows.shape[0], K, old_n)
+    return np.pad(blocks, ((0, 0), (0, 0), (0, new_n - old_n))).reshape(rows.shape[0], K * new_n)

@@ -25,13 +25,13 @@ from certrom import (
     monte_carlo,
     optimize_misfit,
     pod_modes,
-    rb_residual_bruteforce,
     time_average,
     vkoga_fit,
 )
 from certrom.mlp import init_params
 
 from conftest import record_acceptance
+from oracles import rb_residual_bruteforce
 
 
 @pytest.fixture(scope="module")

@@ -49,6 +49,30 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid((0, 0, 0, 1), 2, 2)
 
+    def test_cells_in_rectangle_matches_center_definition(self):
+        from certrom import BuildingConfig, build_building
+
+        cfg = BuildingConfig()
+        grids = [build_building(cfg).grid, build_grid((-1.0, 2.0, 0.5, 1.5), 7, 3)]
+        for grid in grids:
+            c = grid.cell_centers
+            x, y = np.unique(c[:, 0]), np.unique(c[:, 1])
+            (gx0, gx1), (gy0, gy1) = (grid.x0, grid.x1), (grid.y0, grid.y1)
+            rects = [
+                (gx0, gx1, gy0, gy1),  # everything
+                (gx1 + 1.0, gx1 + 2.0, gy0, gy1),  # nothing
+                (x[1], x[-2], y[0], y[-1]),  # edges exactly on centers
+                (x[2], x[2], y[0], y[-1]),  # one column
+                (x[0], x[-1], y[1], y[1]),  # one row
+                (x[1], x[0], gy0, gy1),  # reversed: empty
+            ]
+            if grid is grids[0]:
+                rects += list(cfg.walls) + list(cfg.doors) + list(cfg.heaters)
+                rects += [r for r, _ in cfg.fixed_walls + cfg.fixed_doors]
+            for rx0, rx1, ry0, ry1 in rects:
+                inside = (c[:, 0] >= rx0) & (c[:, 0] <= rx1) & (c[:, 1] >= ry0) & (c[:, 1] <= ry1)
+                assert np.array_equal(grid.cells_in_rectangle((rx0, rx1, ry0, ry1)), np.flatnonzero(inside))
+
 
 class TestMass:
     def test_unit_cell_element_oracle(self):

@@ -35,7 +35,7 @@ class TestAgainstDenseOracle:
         mass = p.mass.toarray()
         a = p.operator.assemble(mu).toarray()
         system = mass + dt * a
-        u = p.initial_vector(mu)
+        u = p.initial_vector()
         dense = [u.copy()]
         for t in p.time_grid.nodes[1:]:
             b = mass @ u + dt * p.rhs.assemble(mu, t)

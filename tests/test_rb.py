@@ -18,12 +18,11 @@ from certrom import (
     assemble_rb_rom,
     gram_schmidt,
     l2_time_norm,
-    rb_residual_bruteforce,
-    riesz_representative,
 )
 from certrom.rb import RieszSolver
 
 from conftest import scalar_problem
+from oracles import rb_residual_bruteforce, riesz_representative
 
 
 def snapshot_basis(problem, mus, drop_tol=1e-13):

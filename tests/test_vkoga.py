@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+import certrom.kernels
+import certrom.mlp
 from certrom import (
     DnnGenerator,
     FullOrderModel,
     KernelConfig,
     RbGenerator,
+    TimeGrid,
     TrainConfig,
+    Trajectory,
     VkogaGenerator,
-    kernel_eval,
     l2_time_norm,
     vkoga_fit,
 )
 from certrom.kernels import kernel_matrix
+
+from oracles import kernel_eval
 
 
 class TestKernel:
@@ -178,6 +183,17 @@ class TestGenerator:
             gen.extend(mus[0])
             assert len(gen.samples) == 1, type(gen).__name__
 
+    def test_trajectory_off_the_time_grid_rejected(self, trained_stack):
+        problem, fom, rb_gen, rom, mus = trained_stack
+        grid = rom.time_grid
+        coarse = TimeGrid(grid.t_end, grid.num_nodes - 1)
+        for make in LEARNED_BACKENDS:
+            gen = make(rom)
+            gen.extend(mus[0])
+            with pytest.raises(ValueError, match="time grid"):
+                gen.extend(mus[1], Trajectory(coarse, np.zeros((coarse.num_nodes, rom.dim))))
+            assert len(gen.samples) == 1 and np.array_equal(gen.samples[0][0], mus[0]), type(gen).__name__
+
     def test_precompute_idempotent(self, trained_stack):
         problem, fom, rb_gen, rom, mus = trained_stack
         gen = VkogaGenerator(rom)
@@ -203,7 +219,8 @@ class TestGenerator:
         assert gen.discard([True, False, True]) == 1
         refit = gen.precompute(force=True).model
         assert refit is not model  # a discard makes the refit cold
-        cold = vkoga_fit(*gen._training_arrays(), gen.config)
+        xs = np.array([rom.box.to_unit(mu) for mu in gen.training_parameters])
+        cold = vkoga_fit(xs, np.array([coeffs.ravel() for _, coeffs in gen.samples]), gen.config)
         probe = rom.box.to_unit(mus[3])[None, :]
         assert np.array_equal(refit.predict(probe), cold.predict(probe))
 
@@ -211,6 +228,52 @@ class TestGenerator:
         assert gen.precompute().model is not refit
         with pytest.raises(ValueError, match="keep flag"):
             gen.discard([True])
+
+    def test_fits_read_the_stored_trajectories_in_place(self, trained_stack, monkeypatch):
+        """Each trajectory is stored once: after appends, a replacement, a
+        discard and a prolongation, every sample is a read-only view of the
+        targets the backend's fit reads."""
+        problem, fom, rb_gen, rom, mus = trained_stack
+        gen2 = RbGenerator(fom, eps=1e-3)
+        for mu in mus[:2]:
+            gen2.extend(mu)
+        rom_a = gen2.precompute()
+        gen2.extend([0.52, 1.97])
+        rom_b = gen2.precompute()
+        assert rom_b.dim > rom_a.dim
+
+        fitted_targets = []
+
+        def spy(fit):
+            def recording(xs, ys, *args, **kwargs):
+                fitted_targets.append(ys)
+                return fit(xs, ys, *args, **kwargs)
+            return recording
+
+        monkeypatch.setattr(certrom.kernels, "vkoga_fit", spy(certrom.kernels.vkoga_fit))
+        monkeypatch.setattr(certrom.mlp, "mlp_train", spy(certrom.mlp.mlp_train))
+        for make in LEARNED_BACKENDS:
+            gen = make(rom_a)
+
+            def check(count):
+                fitted_targets.clear()
+                gen.precompute(force=True)
+                (ys,) = fitted_targets
+                assert len(gen.samples) == count, type(gen).__name__
+                for _, coeffs in gen.samples:
+                    assert np.shares_memory(coeffs, ys), type(gen).__name__
+                    assert not coeffs.flags.writeable
+
+            for mu in mus[:3]:
+                gen.extend(mu)
+            check(3)
+            gen.extend(mus[1])  # replaces the stored trajectory at mus[1]
+            check(3)
+            gen.discard([True, False, True])
+            check(2)
+            gen = gen.prolong(rom_b)
+            gen.extend(mus[3])
+            check(3)
 
     def test_training_parameters_certify(self, trained_stack):
         problem, fom, rb_gen, rom, mus = trained_stack
