@@ -53,7 +53,7 @@ class AdaptiveModel:
     def __init__(self, fom: FullOrderModel, rb_generator, ml_generator, eps: float):
         self.fom = fom
         self.rb_generator = rb_generator
-        self.eps = float(eps)
+        self.eps = eps
         self.rb_rom = rb_generator.precompute()
         if ml_generator.rb_rom is not self.rb_rom:
             ml_generator = ml_generator.prolong(self.rb_rom)
@@ -61,6 +61,16 @@ class AdaptiveModel:
         self.ml_rom = ml_generator.current_model()
         self.records: list = []
         self.events: list = []
+
+    @property
+    def eps(self) -> float:
+        """The active tolerance. Its one stored copy is the reduced-basis
+        generator's, so enrichment certifies against the same value."""
+        return self.rb_generator.eps
+
+    @eps.setter
+    def eps(self, value: float):
+        self.rb_generator.eps = float(value)
 
     @property
     def box(self):

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .adaptive import AdaptiveModel
+from .adaptive import AdaptiveModel, EvalRecord
 from .core import ConfigError, time_average
 from .fom import FomProblem, FullOrderModel
 from .hapod import HapodConfig, RbGenerator
@@ -99,28 +99,17 @@ def _ml_fraction_windows(records, model: AdaptiveModel, offset: int) -> list:
     return fractions
 
 
-CSV_COLUMNS = (
-    "index",
-    "tier",
-    "delta_ml",
-    "delta_rb",
-    "eps",
-    "t_ml_est",
-    "t_ml_eval",
-    "t_rb_est",
-    "t_rb_eval",
-    "t_fom",
-    "t_rb_build",
-    "t_ml_build",
-    "basis_dim",
-    "ml_size",
-    "value",
-)
+# evals.csv has one column per EvalRecord field, in declaration order, with
+# mu spread over p columns and a leading row index; a cell is formatted by its
+# field's annotation (a string: adaptive postpones annotation evaluation)
+_SCALAR_FIELDS = fields(EvalRecord)[1:]
+_PHASES = tuple(f.name for f in _SCALAR_FIELDS if f.name.startswith("t_"))
+_CELL = {"str": str, "int": str, "float": lambda v: repr(float(v))}
 
 
 def telemetry_header(p: int) -> str:
     mus = ",".join(f"mu_{i}" for i in range(p))
-    rest = ",".join(CSV_COLUMNS[1:])
+    rest = ",".join(f.name for f in _SCALAR_FIELDS)
     return f"index,{mus},{rest}"
 
 
@@ -133,35 +122,14 @@ def export_telemetry(records: list, out_dir, events: Optional[list] = None) -> d
     for i, rec in enumerate(records):
         cells = [str(i)]
         cells.extend(repr(float(v)) for v in rec.mu)
-        cells.append(rec.tier)
-        cells.extend(
-            repr(float(getattr(rec, name)))
-            for name in (
-                "delta_ml",
-                "delta_rb",
-                "eps",
-                "t_ml_est",
-                "t_ml_eval",
-                "t_rb_est",
-                "t_rb_eval",
-                "t_fom",
-                "t_rb_build",
-                "t_ml_build",
-            )
-        )
-        cells.append(str(rec.basis_dim))
-        cells.append(str(rec.ml_size))
-        cells.append(repr(float(rec.value)))
+        cells.extend(_CELL[f.type](getattr(rec, f.name)) for f in _SCALAR_FIELDS)
         lines.append(",".join(cells))
     with open(os.path.join(out_dir, "evals.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
     n = len(records)
     counts = {tier: sum(r.tier == tier for r in records) for tier in ("ml", "rb", "fom")}
-    times = {
-        name: float(sum(getattr(r, name) for r in records))
-        for name in ("t_ml_est", "t_ml_eval", "t_rb_est", "t_rb_eval", "t_fom", "t_rb_build", "t_ml_build")
-    }
+    times = {name: float(sum(getattr(r, name) for r in records)) for name in _PHASES}
     summary = {
         "n_evals": n,
         "tier_counts": counts,

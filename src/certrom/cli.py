@@ -118,7 +118,19 @@ def _cmd_solve(args, cfg, problem, settings) -> int:
     return 0
 
 
+def _stagnation_config(cfg, problem) -> StagnationConfig:
+    """The JSON "stagnation" object over the StagnationConfig defaults; the
+    running-average width defaults to twice the parameter count."""
+    try:
+        return StagnationConfig(**{"n_av": 2 * problem.box.dim, **cfg.get("stagnation", {})})
+    except TypeError as exc:
+        raise ConfigError(f"stagnation: {exc}") from exc
+
+
 def _cmd_optimize(args, cfg, problem, settings) -> int:
+    stagnation = None
+    if args.adaptive_eps or cfg.get("adaptive_eps", False):
+        stagnation = _stagnation_config(cfg, problem)
     mu0 = np.asarray(cfg.get("initial_mu", problem.box.center), dtype=float)
     nm = NelderMeadConfig(
         initial_point=mu0,
@@ -128,16 +140,6 @@ def _cmd_optimize(args, cfg, problem, settings) -> int:
     mu_ref = np.asarray(cfg.get("reference_mu", problem.box.center), dtype=float)
     reference = fom.eval_output(mu_ref)
     model = _make_model(problem, settings)
-    stagnation = None
-    if args.adaptive_eps or cfg.get("adaptive_eps", False):
-        stag_cfg = cfg.get("stagnation", {})
-        stagnation = StagnationConfig(
-            n_av=stag_cfg.get("n_av", 2 * problem.box.dim),
-            n_stag=stag_cfg.get("n_stag", 10),
-            eps_slope=stag_cfg.get("eps_slope", -1e-15),
-            eps_slope_rel=stag_cfg.get("eps_slope_rel", 5e-5),
-            eps0=stag_cfg.get("eps0", l2_time_norm(reference)),
-        )
     report = optimize_misfit(model, reference, nm, stagnation)
     summary = app.export_telemetry(report.records, args.out, events=model.events)
     result = {

@@ -127,11 +127,6 @@ def element_stiffness(hx, hy):
     return np.kron(_mass_1d(hy), _stiff_1d(hx)) + np.kron(_stiff_1d(hy), _mass_1d(hx))
 
 
-def element_advection(hx, hy, vx, vy):
-    """Element matrix of integral (v . grad u) w over one cell, v constant."""
-    return vx * np.kron(_mass_1d(hy), _CONV_1D) + vy * np.kron(_CONV_1D, _mass_1d(hx))
-
-
 def _assemble(grid: StructuredGrid, cell_matrices: np.ndarray) -> sp.csr_matrix:
     """Scatter per-cell 4x4 matrices into the global sparse matrix."""
     cells = grid.cells

@@ -156,25 +156,25 @@ def load_basis(path) -> np.ndarray:
 
 class RbGenerator(Generator):
     """Streams full-order trajectories through the chunked POD into a growing,
-    nested reduced basis, and precomputes certified reduced models from it."""
+    nested reduced basis, and precomputes certified reduced models from it.
 
-    def __init__(
-        self,
-        fom: FullOrderModel,
-        eps: float,
-        hapod: HapodConfig = HapodConfig(),
-        max_retries: int = 3,
-    ):
+    ``eps`` is the one stored copy of the active output tolerance
+    (``AdaptiveModel.eps`` reads and writes it); ``precompute`` certifies
+    against it.
+    """
+
+    MAX_RETRIES = 3
+
+    def __init__(self, fom: FullOrderModel, eps: float, hapod: HapodConfig = HapodConfig()):
         self.fom = fom
         self.eps = float(eps)
         self.hapod = hapod
-        self.max_retries = max_retries
         self.mus = []
+        self._pending = []  # extended since the last precompute, not yet certified
         problem = fom.problem
         self.basis = np.zeros((problem.dim, 0))
         self._builder = EstimatorBuilder(problem)
         self._rom: Optional[RbRom] = None
-        self._dirty = False
         self.peak_full_vectors = 0
 
     @property
@@ -229,50 +229,38 @@ class RbGenerator(Generator):
             # the compression, a re-solve could only add sub-floor directions
             return
         self.mus.append(mu.copy())
+        self._pending.append(self.mus[-1])
+        self._grow(problem.initial_vector())
+        self._grow(self._stream_remains(mu, self.hapod.eps_pod))
 
-        u0 = problem.initial_vector()
-        norm0 = float(np.sqrt(max(u0 @ (problem.gram @ u0), 0.0)))
-        if norm0 > 0.0:
-            defect = u0 - self.basis @ (self.basis.T @ (problem.gram @ u0)) if self.basis.shape[1] else u0
-            dnorm = float(np.sqrt(max(defect @ (problem.gram @ defect), 0.0)))
-            if dnorm > 1e-10 * norm0:
-                self._grow(gram_schmidt(u0, problem.gram, existing=self.basis))
-
-        modes = self._stream_remains(mu, self.hapod.eps_pod)
-        self._grow(gram_schmidt(modes, problem.gram, existing=self.basis))
-
-    def _grow(self, new_columns: np.ndarray):
+    def _grow(self, vectors: np.ndarray):
+        """Append the directions of ``vectors`` not yet in the basis (zero
+        columns and columns already in its span add none)."""
+        new_columns = gram_schmidt(vectors, self.fom.problem.gram, existing=self.basis)
         if new_columns.size == 0:
             return
         self.basis = np.hstack([self.basis, new_columns])
         self._builder.add_basis_columns(new_columns)
-        self._dirty = True
+        self._rom = None
+
+    def _current_rom(self) -> RbRom:
+        if self._rom is None:
+            self._rom = assemble_rb_rom(self.fom.problem, self.basis, self._builder)
+        return self._rom
 
     def precompute(self) -> RbRom:
-        if self._rom is not None and not self._dirty:
-            return self._rom
-        rom = assemble_rb_rom(self.fom.problem, self.basis, self._builder)
-
-        # output-reproduction safeguard for the most recent training parameter;
-        # dormant at the default eps_pod
-        if self.mus and self._dirty:
-            mu = self.mus[-1]
+        """The reduced model of the current basis, once every pending training
+        parameter's output estimate is within eps; raises NumericalError for
+        a parameter that still fails after MAX_RETRIES re-streams."""
+        while self._pending:
+            mu = self._pending.pop(0)  # a failure is reported once, not retried by later calls
             eps_pod = self.hapod.eps_pod
-            for _ in range(self.max_retries):
-                est = rom.est_output(mu)
-                if est <= self.eps:
-                    break
+            retries = 0
+            while (est := self._current_rom().est_output(mu)) > self.eps:
+                if retries == self.MAX_RETRIES:
+                    raise NumericalError("enrichment failed")
+                retries += 1
                 # tighten at least by half, and directly toward the shortfall
                 eps_pod *= min(0.5, 0.1 * self.eps / est)
-                modes = self._stream_remains(mu, eps_pod)
-                grew = gram_schmidt(modes, self.fom.problem.gram, existing=self.basis)
-                if grew.size:
-                    self._grow(grew)
-                    rom = assemble_rb_rom(self.fom.problem, self.basis, self._builder)
-            else:
-                if rom.est_output(mu) > self.eps:
-                    raise NumericalError("enrichment failed")
-
-        self._rom = rom
-        self._dirty = False
-        return rom
+                self._grow(self._stream_remains(mu, eps_pod))
+        return self._current_rom()

@@ -236,12 +236,6 @@ class InputScaler:
         return 2.0 * (mus_and_times - self.lo) / (self.hi - self.lo) - 1.0
 
 
-def dnn_predict_state(params: Optional[MlpParams], mu, rom: RbRom, scaler: InputScaler) -> Trajectory:
-    """Predict reduced coefficients for all time nodes in one batched pass;
-    the first row is replaced by the exact reduced initial coefficients."""
-    return DnnRom(rom, params, scaler).eval_state(mu)
-
-
 class DnnRom(LearnedRom):
     """Certified learned ROM with random-access-in-time prediction."""
 

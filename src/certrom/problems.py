@@ -44,6 +44,30 @@ def _theta_component(index: int, mu) -> float:
     return float(np.asarray(mu)[index])
 
 
+def _homogeneous_problem(grid, operator, rhs, lifting, output_raw, box, time_grid, names) -> FomProblem:
+    """Shift a raw discretization onto the homogeneous subspace of the lifting's
+    constrained DoFs: constrained mass and output, the lifting's output
+    offset, and the energy product at the box centre; zero initial datum."""
+    operator, rhs = apply_dirichlet_shift(operator, rhs, lifting)
+    output = output_raw.copy()
+    output[lifting.dofs] = 0.0
+    return FomProblem(
+        operator=operator,
+        mass=constrain_matrix(assemble_mass(grid), lifting.dofs, diagonal=0.0),
+        rhs=rhs,
+        output=output,
+        time_grid=time_grid,
+        gram=energy_product(operator, box.center),
+        mu_bar=box.center,
+        box=box,
+        initial=np.zeros(grid.num_nodes),
+        output_shift=float(output_raw @ lifting.values),
+        lifting=lifting,
+        grid=grid,
+        parameter_names=names,
+    )
+
+
 # ---------------------------------------------------------------------------
 # reactive channel flow
 # ---------------------------------------------------------------------------
@@ -109,37 +133,15 @@ def build_reactive_flow(config: ReactiveFlowConfig = ReactiveFlowConfig()) -> Fo
     lifting_values = np.zeros(grid.num_nodes)
     on_inflow = np.isclose(coords[:, 0], 0.0) & (coords[:, 1] >= cfg.washcoat_height - tol)
     lifting_values[on_inflow] = 1.0
-    lifting = DirichletLifting(constrained, lifting_values)
-
-    rhs = AffineFunctional((), grid.num_nodes)
-    operator, rhs = apply_dirichlet_shift(operator, rhs, lifting)
-    mass = constrain_matrix(assemble_mass(grid), constrained, diagonal=0.0)
-
-    output_raw = assemble_output_average(
-        grid, BoundarySegment("right", cfg.washcoat_height, 1.0)
-    )
-    output_shift = float(output_raw @ lifting_values)
-    output = output_raw.copy()
-    output[constrained] = 0.0
-
-    box = ParameterBox(np.array(cfg.box_lower), np.array(cfg.box_upper))
-    mu_bar = box.center
-    gram = energy_product(operator, mu_bar)
-
-    return FomProblem(
-        operator=operator,
-        mass=mass,
-        rhs=rhs,
-        output=output,
-        time_grid=TimeGrid(cfg.t_end, cfg.num_time_nodes),
-        gram=gram,
-        mu_bar=mu_bar,
-        box=box,
-        initial=np.zeros(grid.num_nodes),
-        output_shift=output_shift,
-        lifting=lifting,
-        grid=grid,
-        parameter_names=("Da", "Pe"),
+    return _homogeneous_problem(
+        grid,
+        operator,
+        AffineFunctional((), grid.num_nodes),
+        DirichletLifting(constrained, lifting_values),
+        assemble_output_average(grid, BoundarySegment("right", cfg.washcoat_height, 1.0)),
+        ParameterBox(np.array(cfg.box_lower), np.array(cfg.box_upper)),
+        TimeGrid(cfg.t_end, cfg.num_time_nodes),
+        ("Da", "Pe"),
     )
 
 
@@ -298,15 +300,6 @@ def build_building(config: BuildingConfig = BuildingConfig()) -> FomProblem:
         )
     rhs = AffineFunctional(tuple(rhs_components), grid.num_nodes)
 
-    constrained = grid.boundary_nodes()
-    lifting = DirichletLifting(constrained, np.zeros(grid.num_nodes))
-    operator, rhs = apply_dirichlet_shift(operator, rhs, lifting)
-    mass = constrain_matrix(assemble_mass(grid), constrained, diagonal=0.0)
-
-    room_cells = grid.cells_in_rectangle(cfg.room)
-    output = assemble_output_average(grid, room_cells)
-    output[constrained] = 0.0
-
     lower = np.concatenate(
         [
             np.full(len(cfg.walls), cfg.wall_bounds[0]),
@@ -321,29 +314,20 @@ def build_building(config: BuildingConfig = BuildingConfig()) -> FomProblem:
             np.full(len(cfg.heaters), cfg.heater_bounds[1]),
         ]
     )
-    box = ParameterBox(lower, upper)
-    mu_bar = box.center
-    gram = energy_product(operator, mu_bar)
-
     names = tuple(
         [f"wall{j}" for j in range(len(cfg.walls))]
         + [f"door{j}" for j in range(len(cfg.doors))]
         + [f"heater{j}" for j in range(len(cfg.heaters))]
     )
-    return FomProblem(
-        operator=operator,
-        mass=mass,
-        rhs=rhs,
-        output=output,
-        time_grid=TimeGrid(cfg.t_end, cfg.num_time_nodes),
-        gram=gram,
-        mu_bar=mu_bar,
-        box=box,
-        initial=np.zeros(grid.num_nodes),
-        output_shift=0.0,
-        lifting=lifting,
-        grid=grid,
-        parameter_names=names,
+    return _homogeneous_problem(
+        grid,
+        operator,
+        rhs,
+        DirichletLifting(grid.boundary_nodes(), np.zeros(grid.num_nodes)),
+        assemble_output_average(grid, grid.cells_in_rectangle(cfg.room)),
+        ParameterBox(lower, upper),
+        TimeGrid(cfg.t_end, cfg.num_time_nodes),
+        names,
     )
 
 
@@ -390,31 +374,15 @@ def build_heat_square(config: HeatSquareConfig = HeatSquareConfig()) -> FomProbl
     rhs = AffineFunctional(
         (FunctionalComponent(partial(_theta_const, 1.0), load, name="source"),), grid.num_nodes
     )
-
-    constrained = grid.boundary_nodes()
-    lifting = DirichletLifting(constrained, np.zeros(grid.num_nodes))
-    operator, rhs = apply_dirichlet_shift(operator, rhs, lifting)
-    mass = constrain_matrix(assemble_mass(grid), constrained, diagonal=0.0)
-
-    output = assemble_output_average(grid, np.arange(grid.num_cells))
-    output[constrained] = 0.0
-
-    box = ParameterBox(np.array(cfg.box_lower), np.array(cfg.box_upper))
-    gram = energy_product(operator, box.center)
-    return FomProblem(
-        operator=operator,
-        mass=mass,
-        rhs=rhs,
-        output=output,
-        time_grid=TimeGrid(cfg.t_end, cfg.num_time_nodes),
-        gram=gram,
-        mu_bar=box.center,
-        box=box,
-        initial=np.zeros(grid.num_nodes),
-        output_shift=0.0,
-        lifting=lifting,
-        grid=grid,
-        parameter_names=("k_left", "k_right"),
+    return _homogeneous_problem(
+        grid,
+        operator,
+        rhs,
+        DirichletLifting(grid.boundary_nodes(), np.zeros(grid.num_nodes)),
+        assemble_output_average(grid, np.arange(grid.num_cells)),
+        ParameterBox(np.array(cfg.box_lower), np.array(cfg.box_upper)),
+        TimeGrid(cfg.t_end, cfg.num_time_nodes),
+        ("k_left", "k_right"),
     )
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from certrom import (
     FullOrderModel,
+    HapodConfig,
     StagnationConfig,
     StagnationDetector,
     apply_tolerance_drop,
@@ -208,3 +209,27 @@ class TestDegradedLearnedModel:
             sig, _ = model.query(mu)
             err = l2_time_norm(fom.eval_output(mu) - sig)
             assert err <= 1e-3 * (1 + 1e-10)
+
+
+class TestCoarseCompression:
+    """A coarse HAPOD tolerance is recovered by the generator's re-streams,
+    against the model's one active tolerance."""
+
+    def test_cascade_survives_coarse_compression(self, heat_problem):
+        model = make_adaptive_model(heat_problem, eps=1e-4, hapod=HapodConfig(eps_pod=1e-2))
+        rng = np.random.default_rng(0)
+        for _ in range(12):
+            model.query(heat_problem.box.sample(rng))
+
+    def test_tolerance_drop_reaches_generator(self, heat_problem):
+        fom = FullOrderModel(heat_problem)
+        model = make_adaptive_model(heat_problem, eps=1e-1, hapod=HapodConfig(eps_pod=1e-2))
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            model.query(heat_problem.box.sample(rng))
+        apply_tolerance_drop(model, 1e-6)
+        assert model.rb_generator.eps == model.eps == 1e-6
+        for _ in range(5):
+            mu = heat_problem.box.sample(rng)
+            sig, rec = model.query(mu)
+            assert l2_time_norm(fom.eval_output(mu) - sig) <= 1e-6

@@ -1,18 +1,22 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from certrom import (
     EvalRecord,
+    OptimizeReport,
+    StagnationConfig,
     export_telemetry,
     make_adaptive_model,
     monte_carlo,
 )
 from certrom import app
 from certrom.app import telemetry_header
+from certrom import cli as cli_module
 from certrom.cli import cli
 from certrom.fom import FullOrderModel
 
@@ -88,6 +92,16 @@ class TestExportTelemetry:
         assert len(lines) == 4
         assert lines[0] == telemetry_header(2)
         assert sum(summary["tier_fractions"].values()) == pytest.approx(1.0)
+
+    def test_header_matches_readme_contract(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = next(line for line in readme.splitlines() if line.startswith("index,mu_0,"))
+        expected = documented.replace("mu_0,...,mu_{p-1}", "mu_0,mu_1")
+        assert telemetry_header(2) == expected
+        export_telemetry([synthetic_record(0, "rb")], tmp_path)
+        lines = (tmp_path / "evals.csv").read_text().splitlines()
+        assert lines[0] == expected
+        assert len(lines[1].split(",")) == len(expected.split(","))
 
     def test_tier_fractions_reaggregate_from_csv(self, tmp_path, heat_problem):
         model = make_adaptive_model(heat_problem, eps=1e-2, ml_backend="vkoga")
@@ -193,6 +207,26 @@ class TestCli:
         assert "usage error" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "mc" / "mc.json")
         assert solves == [] and builds == []  # rejected before the model is built
+
+    def test_stagnation_settings_reach_the_optimizer(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(model, reference, nm_config, stagnation=None):
+            seen.append(stagnation)
+            return OptimizeReport(nm_config.initial_point, 0.0, 0, True)
+
+        monkeypatch.setattr(cli_module, "optimize_misfit", capture)
+        cfg = write_config(tmp_path, adaptive_eps=True, stagnation={"divisor": 4, "n_stag": 3})
+        assert cli(["optimize", "--config", cfg, "--out", str(tmp_path / "opt")]) == 0
+        assert seen == [StagnationConfig(n_av=4, n_stag=3, divisor=4)]
+
+    def test_unknown_stagnation_key_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        solves = count_calls(monkeypatch, FullOrderModel, "iter_state")
+        cfg = write_config(tmp_path, stagnation={"bogus": 1})
+        code = cli(["optimize", "--config", cfg, "--adaptive-eps", "--out", str(tmp_path / "opt")])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert solves == []  # rejected before the reference solve
 
     def test_missing_config(self, tmp_path):
         assert cli(["info", "--config", str(tmp_path / "absent.json")]) == 1

@@ -6,6 +6,7 @@ from certrom import (
     FullOrderModel,
     HapodConfig,
     IncrementalHapod,
+    NumericalError,
     RbGenerator,
     gram_schmidt,
     load_basis,
@@ -213,3 +214,33 @@ class TestReproductionRetry:
         gen.extend(mu)
         rom = gen.precompute()
         assert rom.est_output(mu) <= 1e-6
+
+    def test_every_pending_parameter_certified(self, heat_problem):
+        # precompute certifies every parameter extended since its last call,
+        # not only the most recent one
+        fom = FullOrderModel(heat_problem)
+        gen = RbGenerator(fom, eps=1e-6, hapod=HapodConfig(eps_pod=1e-1, chunk=10))
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            gen.extend(heat_problem.box.sample(rng))
+        rom = gen.precompute()
+        for mu in gen.training_parameters:
+            assert rom.est_output(mu) <= 1e-6
+
+    def test_unreachable_tolerance_raises_after_bounded_retries(self, heat_problem):
+        fom = FullOrderModel(heat_problem)
+        gen = RbGenerator(fom, eps=1e-30, hapod=HapodConfig(eps_pod=1e-1, chunk=10))
+        gen.extend([1.1, 1.4])
+        solves = []
+        real_iter_state = fom.iter_state
+
+        def counting_iter_state(mu):
+            solves.append(mu)
+            return real_iter_state(mu)
+
+        fom.iter_state = counting_iter_state
+        with pytest.raises(NumericalError, match="enrichment failed"):
+            gen.precompute()
+        assert len(solves) == RbGenerator.MAX_RETRIES
+        # the failure is reported once: the next call has nothing pending
+        assert gen.precompute().dim == gen.basis.shape[1]

@@ -5,6 +5,7 @@ import pytest
 
 from certrom import (
     DnnGenerator,
+    DnnRom,
     FullOrderModel,
     RbGenerator,
     TrainConfig,
@@ -13,7 +14,7 @@ from certrom import (
     mlp_loss_grad,
     mlp_train,
 )
-from certrom.mlp import AdamState, EarlyStopper, dnn_predict_state, init_params, zero_params
+from certrom.mlp import AdamState, EarlyStopper, init_params, zero_params
 
 
 def flat(params):
@@ -184,7 +185,7 @@ class TestPredictState:
         from certrom.mlp import InputScaler
 
         scaler = InputScaler(problem.box, problem.time_grid.t_end)
-        traj = dnn_predict_state(None, mus[0], rom, scaler)
+        traj = DnnRom(rom, None, scaler).eval_state(mus[0])
         assert np.allclose(traj.coeffs[0], rom.init_coeffs)
         assert np.allclose(traj.coeffs[1:], 0.0)
 
@@ -196,7 +197,7 @@ class TestPredictState:
         sizes = [problem.box.dim + 1, 8, rom.dim]
         params = init_params(sizes, rng)
         scaler = InputScaler(problem.box, problem.time_grid.t_end)
-        traj = dnn_predict_state(params, mus[0], rom, scaler)
+        traj = DnnRom(rom, params, scaler).eval_state(mus[0])
         for k in (1, 7, 23):
             x = scaler.scale(np.concatenate([mus[0], [problem.time_grid.nodes[k]]]))
             assert np.allclose(traj.coeffs[k], mlp_forward(params, x), atol=1e-12)
