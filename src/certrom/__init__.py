@@ -48,8 +48,6 @@ from .kernels import (
     KernelModel,
     VkogaGenerator,
     VkogaRom,
-    load_kernel_model,
-    save_kernel_model,
     vkoga_fit,
 )
 from .mlp import (

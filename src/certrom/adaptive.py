@@ -245,9 +245,10 @@ def apply_tolerance_drop(model: AdaptiveModel, new_eps: float) -> int:
     model.eps = float(new_eps)
     gen = model.ml_generator
     rom = model.rb_rom
-    dropped = gen.discard(
-        rom.est_output_for(Trajectory(rom.time_grid, coeffs), mu) <= new_eps
-        for mu, coeffs in gen.samples
+    time_basis = gen.time_basis
+    dropped = gen.discard(  # one trajectory rebuilt at a time
+        rom.est_output_for(Trajectory(rom.time_grid, time_basis @ coords), mu) <= new_eps
+        for mu, coords in gen.samples
     )
     model.events.append(
         {"kind": "eps_drop", "index": len(model.records), "eps": new_eps, "dropped": dropped}

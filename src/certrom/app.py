@@ -108,9 +108,8 @@ _CELL = {"str": str, "int": str, "float": lambda v: repr(float(v))}
 
 
 def telemetry_header(p: int) -> str:
-    mus = ",".join(f"mu_{i}" for i in range(p))
-    rest = ",".join(f.name for f in _SCALAR_FIELDS)
-    return f"index,{mus},{rest}"
+    mus = [f"mu_{i}" for i in range(p)]
+    return ",".join(["index", *mus, *(f.name for f in _SCALAR_FIELDS)])
 
 
 def export_telemetry(records: list, out_dir, events: Optional[list] = None) -> dict:

@@ -277,11 +277,14 @@ class DnnGenerator(LearnedGenerator):
         self.params: Optional[MlpParams] = None
 
     def _training_arrays(self):
+        """Inputs (mu, t_k) and targets, the stored trajectories rebuilt from
+        their temporal coordinates, one row per sample and time node."""
         nodes = self.rb_rom.time_grid.nodes
         xs = np.vstack([
             self.scaler.scale(np.column_stack([np.tile(mu, (len(nodes), 1)), nodes])) for mu in self._mus
         ])
-        return xs, self._targets().reshape(len(xs), self.rb_rom.dim)
+        coords = self._targets().reshape(len(self._mus), *self._coordinate_shape)
+        return xs, (self._time_basis @ coords).reshape(len(xs), self.rb_rom.dim)
 
     def current_model(self) -> DnnRom:
         return DnnRom(self.rb_rom, self.params, self.scaler)
@@ -298,14 +301,14 @@ class DnnGenerator(LearnedGenerator):
             self._fitted()
         return self.current_model()
 
-    def prolong(self, new_rb_rom: RbRom) -> "DnnGenerator":
-        """Zero-pad stored targets and grow the final layer with zero rows, so
-        previously learned outputs are unchanged until the next training."""
-        out = super().prolong(new_rb_rom)
-        pad = new_rb_rom.dim - self.rb_rom.dim
+    def _pad_model(self, old_shape: tuple, new_shape: tuple):
+        """Grow the final layer with zero rows for new basis columns, so
+        previously learned outputs are unchanged until the next training;
+        the network predicts trajectories, so new temporal modes leave it
+        as it is."""
+        pad = new_shape[1] - old_shape[1]
         if pad and self.params is not None:
             params = self.params.copy()
             params.weights[-1] = np.vstack([params.weights[-1], np.zeros((pad, params.weights[-1].shape[1]))])
             params.biases[-1] = np.concatenate([params.biases[-1], np.zeros(pad)])
-            out.params = params
-        return out
+            self.params = params

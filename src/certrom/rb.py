@@ -16,11 +16,14 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import CertifiedModel, Generator, NumericalError, OutputSignal, Trajectory
 from .fem import AffineFunctional
 from .fom import FomProblem
+
+TEMPORAL_TOL = 1e-12  # relative Frobenius tail the learned samples' temporal basis leaves out
 
 
 class RieszSolver:
@@ -417,34 +420,57 @@ class LearnedGenerator(Generator):
     changes accumulated since the last fit (or on demand), and carried onto
     nested bases by zero-padding.
 
-    Each trajectory is kept once, as row i of a block that grows by doubling
-    (sample i's K x N trajectory, row-major); backends fit on views of it.
+    The trajectories share one nested temporal basis T (K x m, orthonormal
+    columns), grown in ``extend`` until every stored trajectory C is
+    reproduced by T (T^T C) to TEMPORAL_TOL relative in the Frobenius norm.
+    Each sample is kept once, as row i of a block that grows by doubling
+    (sample i's m x N coordinates T^T C, row-major); backends fit on views
+    of it.
 
     A backend fits in ``precompute`` when ``_due`` says so and reports it with
-    ``_fitted``; it pads its fitted model in ``prolong`` and drops it in
-    ``_forget_model``. ``_appended_only`` tells whether every sample since the
-    last fit was appended, none replaced.
+    ``_fitted``; it pads its fitted model in ``_pad_model`` whenever the rows
+    are padded (new temporal modes in ``extend``, new basis columns in
+    ``prolong``) and drops it in ``_forget_model``. ``_appended_only`` tells
+    whether every sample since the last fit was appended, none replaced.
     """
 
     def __init__(self, rb_rom: RbRom, pending_threshold: int):
         self.rb_rom = rb_rom
         self.pending_threshold = max(1, int(pending_threshold))
         self._mus: list = []
+        self._time_basis = np.zeros((rb_rom.time_grid.num_nodes, 0))
         self._rows = np.empty((0, 0))  # the first len(_mus) rows are live
         self._pending = 0
         self._appended_only = True
         self.trainings = 0
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_rows"] = self._targets()  # the live rows, not the spare capacity
+        return state
+
     @property
     def samples(self) -> list:
-        """(mu, K x N trajectory) pairs, trajectories as read-only views."""
-        views = self._targets().reshape(len(self._mus), self.rb_rom.time_grid.num_nodes, self.rb_rom.dim)
+        """(mu, m x N temporal coordinates) pairs, as read-only views of the
+        store; ``time_basis @ coordinates`` is the stored trajectory."""
+        views = self._targets().reshape(len(self._mus), *self._coordinate_shape)
         views.flags.writeable = False
         return list(zip(self._mus, views))
 
     @property
+    def time_basis(self) -> np.ndarray:
+        """The shared temporal basis T (K x m), read-only."""
+        view = self._time_basis.view()
+        view.flags.writeable = False
+        return view
+
+    @property
     def training_parameters(self) -> list:
         return list(self._mus)
+
+    @property
+    def _coordinate_shape(self) -> tuple:
+        return (self._time_basis.shape[1], self.rb_rom.dim)
 
     def _targets(self) -> np.ndarray:
         return self._rows[: len(self._mus)]
@@ -455,22 +481,49 @@ class LearnedGenerator(Generator):
         mu = self.rb_rom.box.validate(mu)
         if trajectory is None:
             trajectory = self.rb_rom.eval_state(mu)
-        if trajectory.coeffs.shape != (self.rb_rom.time_grid.num_nodes, self.rb_rom.dim):
+        coeffs = trajectory.coeffs
+        if coeffs.shape != (self.rb_rom.time_grid.num_nodes, self.rb_rom.dim):
             raise ValueError("trajectory does not match the reduced basis and time grid")
+        self._grow_time_basis(coeffs)
         n = len(self._mus)
         i = next((j for j, old_mu in enumerate(self._mus) if np.array_equal(old_mu, mu)), n)
         if i < n:
             self._appended_only = False
         else:
-            self._rows = _reserve_rows(self._rows, n, n + 1, trajectory.coeffs.size)
+            self._rows = _reserve_rows(self._rows, n, n + 1, math.prod(self._coordinate_shape))
             self._mus.append(mu.copy())
-        self._rows[i] = trajectory.coeffs.ravel()
+        self._rows[i] = (self._time_basis.T @ coeffs).ravel()
         self._pending += 1
+
+    def _grow_time_basis(self, coeffs: np.ndarray):
+        """Append the leading left singular vectors of the part of coeffs that
+        T misses, until the remainder is at most TEMPORAL_TOL * ||coeffs||_F."""
+        basis = self._time_basis
+        missed = coeffs - basis @ (basis.T @ coeffs)
+        bound = TEMPORAL_TOL * np.linalg.norm(coeffs)
+        if np.linalg.norm(missed) <= bound:
+            return
+        vectors, values, _ = np.linalg.svd(missed, full_matrices=False)
+        tails = np.sqrt(np.cumsum(values[::-1] ** 2))[::-1]  # tails[r]: norm of values[r:]
+        identity = sp.identity(basis.shape[0], format="csr")
+        new, _ = orthonormalize(vectors[:, : int(np.sum(tails > bound))], identity, existing=basis)
+        old_shape = self._coordinate_shape
+        self._time_basis = np.hstack([basis, new])
+        self._pad(old_shape, self._coordinate_shape)
+
+    def _pad(self, old_shape: tuple, new_shape: tuple):
+        """Zero-pad the live rows, and the fitted model through ``_pad_model``,
+        from old_shape to new_shape coordinates. The rows are copied even when
+        the shapes agree, so a ``prolong`` copy never writes into the block of
+        the generator it came from."""
+        self._rows = _pad_flat(self._targets(), old_shape, new_shape)
+        if new_shape != old_shape:
+            self._pad_model(old_shape, new_shape)
 
     def discard(self, keep) -> int:
         """Keep only the samples whose flag in ``keep`` is set; any removal
         forgets the fitted model, so the next fit is cold. Returns the number
-        of samples removed."""
+        of samples removed. The temporal basis is kept."""
         keep = list(keep)
         if len(keep) != len(self._mus):
             raise ValueError("need one keep flag per stored sample")
@@ -486,6 +539,11 @@ class LearnedGenerator(Generator):
     @abc.abstractmethod
     def _forget_model(self): ...
 
+    @abc.abstractmethod
+    def _pad_model(self, old_shape: tuple, new_shape: tuple):
+        """Zero-pad the fitted model's m x N coordinate targets to new_shape,
+        so that its predictions keep their old coordinates."""
+
     def _due(self, force: bool) -> bool:
         """Whether precompute must fit: the store changed since the last fit,
         and either often enough or the caller insists."""
@@ -500,8 +558,8 @@ class LearnedGenerator(Generator):
 
     def prolong(self, new_rb_rom: RbRom):
         """Copy of the generator over an extended (nested) reduced basis, with
-        the stored trajectories zero-padded in the new coordinates; the
-        backend pads its fitted model on the returned copy."""
+        the stored coordinates and the fitted model zero-padded in the new
+        basis columns."""
         old_n, new_n = self.rb_rom.dim, new_rb_rom.dim
         if new_n < old_n or not np.allclose(
             new_rb_rom.basis.matrix[:, :old_n], self.rb_rom.basis.matrix, atol=1e-12
@@ -510,7 +568,7 @@ class LearnedGenerator(Generator):
         out = copy.copy(self)
         out.rb_rom = new_rb_rom
         out._mus = list(self._mus)
-        out._rows = _pad_flat(self._targets(), self.rb_rom.time_grid.num_nodes, old_n, new_n)
+        out._pad(self._coordinate_shape, out._coordinate_shape)
         return out
 
 
@@ -525,9 +583,10 @@ def _reserve_rows(rows: np.ndarray, used: int, needed: int, width: int) -> np.nd
     return grown
 
 
-def _pad_flat(rows: np.ndarray, K: int, old_n: int, new_n: int) -> np.ndarray:
-    """Pad row-major flattened (K x old_n) row vectors to (K x new_n)."""
-    if rows.size == 0:
-        return np.zeros((rows.shape[0], K * new_n))
-    blocks = rows.reshape(rows.shape[0], K, old_n)
-    return np.pad(blocks, ((0, 0), (0, 0), (0, new_n - old_n))).reshape(rows.shape[0], K * new_n)
+def _pad_flat(rows: np.ndarray, old_shape: tuple, new_shape: tuple) -> np.ndarray:
+    """Zero-pad row-major flattened (m x N) row vectors to (m' x N'), m' >= m
+    and N' >= N, keeping every old entry at its (i, j) position."""
+    (m, n), count = old_shape, rows.shape[0]
+    out = np.zeros((count, *new_shape))
+    out[:, :m, :n] = rows.reshape(count, m, n)
+    return out.reshape(count, math.prod(new_shape))

@@ -171,7 +171,7 @@ class TestToleranceDrop:
             apply_tolerance_drop(model, new_eps)
             rom = model.rb_rom
             for mu, coeffs in model.ml_generator.samples:
-                traj = Trajectory(rom.time_grid, coeffs)
+                traj = Trajectory(rom.time_grid, model.ml_generator.time_basis @ coeffs)
                 assert rom.est_output_for(traj, mu) <= new_eps
 
     def test_drop_must_tighten(self, heat_problem, model):

@@ -82,6 +82,7 @@ class TestExportTelemetry:
         summary = export_telemetry([], tmp_path)
         content = (tmp_path / "evals.csv").read_text().strip()
         assert content == telemetry_header(0)
+        assert "" not in content.split(",")  # no nameless column when p = 0
         assert summary["n_evals"] == 0
         assert summary["tier_fractions"] == {"ml": 0.0, "rb": 0.0, "fom": 0.0}
 

@@ -67,3 +67,27 @@ def test_fitted_learned_generators_and_models(rb_setup, make):
         for mu in mus + [rom.box.center]:
             assert np.array_equal(copy.eval_state(mu).coeffs, model.eval_state(mu).coeffs)
             assert copy.est_output(mu) == model.est_output(mu)
+
+
+def test_pickles_carry_live_rows_only(rb_setup):
+    """The doubling row blocks of the sample store and of the kernel model's
+    residuals pickle their live rows, not their spare capacity."""
+    rom, mus = rb_setup
+    rng = np.random.default_rng(41)
+    extra = [rom.box.sample(rng) for _ in range(6)]
+    gen = VkogaGenerator(rom)
+    for mu in extra[:5]:
+        gen.extend(mu)
+        gen.precompute()
+    assert gen._rows.shape[0] > 5 and gen._model._residual_rows.shape[0] > 5
+    copy = roundtrip(gen)
+    assert copy._rows.shape[0] == 5 and copy._model._residual_rows.shape[0] == 5
+    for mu in mus + extra:
+        assert np.array_equal(copy.current_model().eval_state(mu).coeffs, gen.current_model().eval_state(mu).coeffs)
+    models = []
+    for g in (gen, copy):
+        g.extend(extra[5])
+        models.append(g.precompute().model)
+    assert models[0]._selected == models[1]._selected
+    assert np.array_equal(models[0].coefficients, models[1].coefficients)
+    assert np.array_equal(copy.time_basis, gen.time_basis)

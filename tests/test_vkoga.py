@@ -16,6 +16,7 @@ from certrom import (
     vkoga_fit,
 )
 from certrom.kernels import kernel_matrix
+from certrom.rb import TEMPORAL_TOL
 
 from oracles import kernel_eval
 
@@ -173,7 +174,7 @@ class TestGenerator:
         gen = VkogaGenerator(rom)
         gen.extend(mus[0])
         mu, coeffs = gen.samples[0]
-        assert coeffs.size == rom.time_grid.num_nodes * rom.dim
+        assert (gen.time_basis @ coeffs).size == rom.time_grid.num_nodes * rom.dim
 
     def test_duplicate_extend_replaces(self, trained_stack):
         problem, fom, rb_gen, rom, mus = trained_stack
@@ -207,18 +208,30 @@ class TestGenerator:
         with pytest.raises(ValueError, match="empty training set"):
             VkogaGenerator(rom).precompute()
 
-    def test_refit_is_warm_only_after_appends(self, trained_stack):
+    def test_refit_is_warm_only_after_appends(self, trained_stack, monkeypatch):
         problem, fom, rb_gen, rom, mus = trained_stack
+        warm_models = []
+
+        def recording(xs, ys, config, warm=None):
+            warm_models.append(warm)
+            return fit(xs, ys, config, warm=warm)
+
+        fit = certrom.kernels.vkoga_fit
+        monkeypatch.setattr(certrom.kernels, "vkoga_fit", recording)
         gen = VkogaGenerator(rom)
         for mu in mus[:2]:
             gen.extend(mu)
         model = gen.precompute().model
+        history = list(model.greedy_history)
         gen.extend(mus[2])
-        assert gen.precompute().model is model  # appended only: greedy resumed
+        resumed = gen.precompute().model
+        # appended only: the greedy resumed on the previous model, carried
+        # over (zero-padded) to any temporal modes the new sample added
+        assert warm_models[-1] is resumed and resumed.greedy_history[: len(history)] == history
 
         assert gen.discard([True, False, True]) == 1
         refit = gen.precompute(force=True).model
-        assert refit is not model  # a discard makes the refit cold
+        assert warm_models[-1] is None and refit is not resumed  # a discard makes the refit cold
         xs = np.array([rom.box.to_unit(mu) for mu in gen.training_parameters])
         cold = vkoga_fit(xs, np.array([coeffs.ravel() for _, coeffs in gen.samples]), gen.config)
         probe = rom.box.to_unit(mus[3])[None, :]
@@ -260,9 +273,14 @@ class TestGenerator:
                 gen.precompute(force=True)
                 (ys,) = fitted_targets
                 assert len(gen.samples) == count, type(gen).__name__
-                for _, coeffs in gen.samples:
-                    assert np.shares_memory(coeffs, ys), type(gen).__name__
+                for i, (_, coeffs) in enumerate(gen.samples):
                     assert not coeffs.flags.writeable
+                    if isinstance(gen, VkogaGenerator):  # regresses the stored coordinates
+                        assert np.shares_memory(coeffs, ys)
+                    else:  # trains on the trajectories they rebuild, one row per time node
+                        K = gen.time_basis.shape[0]
+                        rebuilt = gen.time_basis @ coeffs
+                        assert np.allclose(ys[i * K : (i + 1) * K], rebuilt, rtol=0, atol=1e-13 * np.abs(rebuilt).max())
 
             for mu in mus[:3]:
                 gen.extend(mu)
@@ -351,16 +369,93 @@ class TestProlong:
                     gen.prolong(other)
 
 
-class TestCheckpoint:
-    def test_kernel_model_roundtrip(self, tmp_path):
-        from certrom import load_kernel_model, save_kernel_model
+class TestTemporalBasis:
+    """The store keeps each trajectory C as its coordinates T^T C in one
+    shared, nested, orthonormal temporal basis T."""
 
-        rng = np.random.default_rng(30)
-        xs = rng.uniform(size=(8, 2))
-        ys = rng.normal(size=(8, 3))
-        model = vkoga_fit(xs, ys, KernelConfig())
-        path = tmp_path / "kernel.npz"
-        save_kernel_model(path, model)
-        loaded = load_kernel_model(path)
-        probe = rng.uniform(size=(4, 2))
-        assert np.allclose(loaded.predict(probe), model.predict(probe), atol=1e-15)
+    def test_coordinates_reproduce_trajectories_in_a_nested_basis(self, trained_stack):
+        problem, fom, rb_gen, rom, mus = trained_stack
+        gen2 = RbGenerator(fom, eps=1e-3)
+        for mu in mus[:2]:
+            gen2.extend(mu)
+        rom_a = gen2.precompute()
+        gen2.extend([0.52, 1.97])
+        rom_b = gen2.precompute()
+        assert rom_b.dim > rom_a.dim
+        gen = VkogaGenerator(rom_a)
+        stored = {}  # trajectories by parameter, as extended
+        previous = gen.time_basis
+
+        def check():
+            nonlocal previous
+            basis = gen.time_basis
+            assert basis.shape[0] == rom_a.time_grid.num_nodes
+            assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-13
+            assert np.array_equal(basis[:, : previous.shape[1]], previous)  # nested
+            for mu, coords in gen.samples:
+                assert coords.shape == (basis.shape[1], gen.rb_rom.dim)
+                trajectory = stored[tuple(mu)]
+                miss = np.linalg.norm(basis @ coords - trajectory)
+                assert miss <= TEMPORAL_TOL * np.linalg.norm(trajectory)
+            previous = basis
+
+        for mu in mus[:3]:
+            stored[tuple(mu)] = rom_a.eval_state(mu).coeffs
+            gen.extend(mu)
+            check()
+        assert 0 < gen.time_basis.shape[1] < rom_a.time_grid.num_nodes
+        gen.discard([True, False, True])
+        check()
+        gen = gen.prolong(rom_b)
+        pad = rom_b.dim - rom_a.dim
+        stored = {mu: np.pad(c, ((0, 0), (0, pad))) for mu, c in stored.items()}
+        check()
+        stored[tuple(mus[3])] = rom_b.eval_state(mus[3]).coeffs
+        gen.extend(mus[3])
+        check()
+
+    def test_warm_refit_after_growth_matches_cold_fit(self, trained_stack):
+        problem, fom, rb_gen, rom, mus = trained_stack
+        gen = VkogaGenerator(rom)
+        gen.extend(mus[0])
+        gen.precompute()
+        widths = [gen.time_basis.shape[1]]
+        for mu in mus[1:]:
+            gen.extend(mu)
+            widths.append(gen.time_basis.shape[1])
+            warm = gen.precompute().model
+        assert widths[-1] > widths[0]  # the basis grew between warm refits
+        xs = np.array([rom.box.to_unit(mu) for mu in gen.training_parameters])
+        cold = vkoga_fit(xs, np.array([coords.ravel() for _, coords in gen.samples]), gen.config)
+        assert sorted(warm._selected) == sorted(cold._selected)  # picked in another order
+        probes = np.random.default_rng(13).uniform(size=(5, problem.box.dim))
+        expected = cold.predict(probes)
+        assert np.max(np.abs(warm.predict(probes) - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_store_width_on_coarse_reactive_flow(self, small_reactive_problem):
+        problem = small_reactive_problem
+        rb_gen = RbGenerator(FullOrderModel(problem), eps=1e-3)
+        rng = np.random.default_rng(14)
+        for _ in range(2):
+            rb_gen.extend(problem.box.sample(rng))
+        rom = rb_gen.precompute()
+        gen = VkogaGenerator(rom)
+        for _ in range(6):
+            gen.extend(problem.box.sample(rng))
+        m, K = gen.time_basis.shape[1], problem.time_grid.num_nodes
+        assert 0 < m < K
+        assert gen._targets().shape == (6, m * rom.dim)
+
+    def test_estimate_certifies_the_rebuilt_trajectory(self, trained_stack):
+        problem, fom, rb_gen, rom, mus = trained_stack
+        gen = VkogaGenerator(rom)
+        for mu in mus[:3]:
+            gen.extend(mu)
+        ml = gen.precompute()
+        basis = gen.time_basis
+        for mu in (mus[1], mus[3]):
+            coords = ml.model.predict(rom.box.to_unit(mu)[None, :])[0].reshape(basis.shape[1], rom.dim)
+            rebuilt = basis @ coords
+            rebuilt[0] = rom.init_coeffs
+            assert np.array_equal(ml.eval_state(mu).coeffs, rebuilt)
+            assert ml.est_output(mu) == rom.est_output_for(Trajectory(rom.time_grid, rebuilt), mu)
