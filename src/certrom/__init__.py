@@ -56,11 +56,9 @@ from .mlp import (
     MlpParams,
     TrainConfig,
     adam_step,
-    load_mlp_params,
     mlp_forward,
     mlp_loss_grad,
     mlp_train,
-    save_mlp_params,
 )
 from .optimize import NelderMeadConfig, OptimizeReport, nelder_mead, optimize_misfit
 from .problems import (

@@ -8,8 +8,8 @@ functionals l(.;mu,t) = sum_q theta_q(mu) r_q(t) b_q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -307,67 +307,83 @@ def synthetic_layered_raster(nx: int, ny: int, seed: int = 0, bounds=(0.001, 1.0
 
 @dataclass(frozen=True)
 class OperatorComponent:
-    theta: Callable[[np.ndarray], float]
     matrix: sp.csr_matrix
+    parameter: Optional[int] = None  # theta_q(mu) = mu[parameter], 1 when None
     symmetric: bool = False
-    positive: bool = False  # theta > 0 everywhere on the parameter box
     name: str = ""
 
 
 @dataclass(frozen=True)
-class AffineOperator:
-    """Parameter-separable operator sum_q theta_q(mu) A_q."""
+class FunctionalComponent:
+    vector: np.ndarray
+    parameter: Optional[int] = None  # theta_q(mu) = mu[parameter], 1 when None
+    ramp_rate: Optional[float] = None  # time factor r_q(t) = min(ramp_rate * t, 1), 1 when None
+    name: str = ""
+
+
+@dataclass(frozen=True)
+class _AffineSum:
+    """Affine components whose coefficients are read off the parameter vector
+    through index arrays fixed at construction."""
 
     components: tuple
 
     def __post_init__(self):
         comps = tuple(self.components)
-        if not comps:
+        if any(c.parameter is not None and c.parameter < 0 for c in comps):
+            raise ValueError("parameter indices must be nonnegative")
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_ones", np.ones(len(comps)))  # theta of the constant components
+        parametric = [q for q, c in enumerate(comps) if c.parameter is not None]
+        object.__setattr__(self, "_parametric", np.array(parametric, dtype=int))
+        object.__setattr__(self, "_parameters", np.array([comps[q].parameter for q in parametric], dtype=int))
+
+    def thetas(self, mu) -> np.ndarray:
+        """theta_q(mu) of every component, in component order."""
+        thetas = self._ones.copy()
+        thetas[self._parametric] = np.asarray(mu, dtype=float)[self._parameters]
+        return thetas
+
+
+@dataclass(frozen=True)
+class AffineOperator(_AffineSum):
+    """Parameter-separable operator sum_q theta_q(mu) A_q."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.components:
             raise ValueError("affine operator needs at least one component")
-        n = comps[0].matrix.shape[0]
-        for c in comps:
+        n = self.components[0].matrix.shape[0]
+        for c in self.components:
             if c.matrix.shape != (n, n):
                 raise ValueError("all operator components must share one square dimension")
-        object.__setattr__(self, "components", comps)
 
     @property
     def dim(self) -> int:
         return self.components[0].matrix.shape[0]
 
-    def thetas(self, mu) -> np.ndarray:
-        return np.array([c.theta(mu) for c in self.components])
-
     def assemble(self, mu) -> sp.csr_matrix:
         acc = None
-        for c in self.components:
-            term = c.theta(mu) * c.matrix
+        for theta, c in zip(self.thetas(mu).tolist(), self.components):
+            term = theta * c.matrix
             acc = term if acc is None else acc + term
         return acc.tocsr()
 
 
 @dataclass(frozen=True)
-class FunctionalComponent:
-    theta: Callable[[np.ndarray], float]
-    vector: np.ndarray
-    ramp: Optional[Callable[[float], float]] = None  # time factor, None means 1
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class AffineFunctional:
+class AffineFunctional(_AffineSum):
     """Parameter-separable functional sum_q theta_q(mu) r_q(t) b_q."""
 
-    components: tuple
     dim: int
-    # time grid -> (K, Q) table of r_q(t_k), filled on first use per grid
-    _ramps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        for c in comps:
+        super().__post_init__()
+        for c in self.components:
             if c.vector.shape != (self.dim,):
                 raise ValueError("all functional components must share the space dimension")
-        object.__setattr__(self, "components", comps)
+        ramped = [q for q, c in enumerate(self.components) if c.ramp_rate is not None]
+        object.__setattr__(self, "_ramped", np.array(ramped, dtype=int))
+        object.__setattr__(self, "_ramp_rates", np.array([self.components[q].ramp_rate for q in ramped]))
 
     def vectors(self) -> np.ndarray:
         """Stacked component vectors, shape (dim, Q); Q may be zero."""
@@ -376,22 +392,21 @@ class AffineFunctional:
         return np.column_stack([c.vector for c in self.components])
 
     def coefficients(self, mu, t: float) -> np.ndarray:
-        return np.array(
-            [c.theta(mu) * (1.0 if c.ramp is None else c.ramp(t)) for c in self.components]
-        )
+        """theta_q(mu) r_q(t) at one time, component by component."""
+        return np.array([
+            theta * (1.0 if c.ramp_rate is None else min(c.ramp_rate * t, 1.0))
+            for theta, c in zip(self.thetas(mu).tolist(), self.components)
+        ])
 
     def coefficient_table(self, mu, grid) -> np.ndarray:
         """theta_q(mu) r_q(t_k) at every node t_k of the time grid, shape (K, Q);
         row k equals ``coefficients(mu, t_k)``."""
-        ramps = self._ramps.get(grid)
-        if ramps is None:
-            nodes = grid.nodes
-            ramps = np.ones((nodes.size, len(self.components)))
-            for q, c in enumerate(self.components):
-                if c.ramp is not None:
-                    ramps[:, q] = [c.ramp(t) for t in nodes]
-            self._ramps[grid] = ramps
-        return ramps * np.array([c.theta(mu) for c in self.components])
+        thetas = self.thetas(mu)
+        table = np.repeat(thetas[None, :], grid.num_nodes, axis=0)
+        if self._ramped.size:
+            ramps = np.minimum(np.multiply.outer(grid.nodes, self._ramp_rates), 1.0)
+            table[:, self._ramped] = ramps * thetas[self._ramped]
+        return table
 
     def assemble(self, mu, t: float) -> np.ndarray:
         if not self.components:
@@ -405,7 +420,6 @@ class DirichletLifting:
 
     dofs: np.ndarray
     values: np.ndarray
-    applied: bool = False
 
     def __post_init__(self):
         self.dofs = np.asarray(self.dofs, dtype=int)
@@ -454,12 +468,9 @@ def apply_dirichlet_shift(
         if lift_nonzero:
             vec = -(c.matrix @ lifting.values)
             vec[dofs] = 0.0
-            new_rhs.append(
-                FunctionalComponent(theta=c.theta, vector=vec, ramp=None, name=f"lift:{c.name}")
-            )
+            new_rhs.append(FunctionalComponent(vec, parameter=c.parameter, name=f"lift:{c.name}"))
         new_ops.append(replace(c, matrix=constrain_matrix(c.matrix, dofs, 1.0)))
 
-    lifting.applied = True
     return AffineOperator(tuple(new_ops)), AffineFunctional(tuple(new_rhs), n)
 
 
@@ -469,10 +480,10 @@ def energy_product(op: AffineOperator, mu_bar) -> sp.csr_matrix:
     SPD is verified through an unpivoted LU factorization; failure raises.
     """
     acc = None
-    for c in op.components:
+    for theta, c in zip(op.thetas(mu_bar).tolist(), op.components):
         if not c.symmetric:
             continue
-        term = c.theta(mu_bar) * c.matrix
+        term = theta * c.matrix
         acc = term if acc is None else acc + term
     if acc is None:
         raise ValueError("operator has no symmetric components")

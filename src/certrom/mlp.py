@@ -208,23 +208,6 @@ def _loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.sum(err**2, axis=1)))
 
 
-def save_mlp_params(path, params: MlpParams):
-    """Checkpoint layout: arrays w0, b0, w1, b1, ... in layer order."""
-    arrays = {}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    np.savez(path, **arrays)
-
-
-def load_mlp_params(path) -> MlpParams:
-    data = np.load(path)
-    layers = len(data.files) // 2
-    return MlpParams(
-        [data[f"w{i}"] for i in range(layers)], [data[f"b{i}"] for i in range(layers)]
-    )
-
-
 class InputScaler:
     """Fixed affine map of (parameter box) x [0, t_end] onto [-1, 1]^(p+1)."""
 

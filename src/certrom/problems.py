@@ -5,7 +5,6 @@ throughout the tests and demos."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -33,15 +32,6 @@ from .fem import (
     synthetic_layered_raster,
 )
 from .fom import FomProblem
-
-
-# theta_q are partials of these, not closures, so that problems pickle
-def _theta_const(value: float, mu) -> float:
-    return value
-
-
-def _theta_component(index: int, mu) -> float:
-    return float(np.asarray(mu)[index])
 
 
 def _homogeneous_problem(grid, operator, rhs, lifting, output_raw, box, time_grid, names) -> FomProblem:
@@ -120,9 +110,9 @@ def build_reactive_flow(config: ReactiveFlowConfig = ReactiveFlowConfig()) -> Fo
     reaction = assemble_reaction(grid, washcoat.astype(float))
     operator = AffineOperator(
         (
-            OperatorComponent(partial(_theta_const, 1.0), diffusion, symmetric=True, positive=True, name="diffusion"),
-            OperatorComponent(partial(_theta_component, 1), advection, symmetric=False, positive=True, name="advection"),
-            OperatorComponent(partial(_theta_component, 0), reaction, symmetric=True, positive=True, name="reaction"),
+            OperatorComponent(diffusion, symmetric=True, name="diffusion"),
+            OperatorComponent(advection, parameter=1, name="advection"),
+            OperatorComponent(reaction, parameter=0, symmetric=True, name="reaction"),
         )
     )
 
@@ -197,9 +187,7 @@ DEFAULT_HEATERS = (
 DEFAULT_ROOM = (1.625, 2.0, 0.625, 1.0)
 
 
-def heater_ramp(t: float) -> float:
-    """Heaters are switched on gradually over the first half time unit."""
-    return min(2.0 * t, 1.0)
+HEATER_RAMP_RATE = 2.0  # heaters switch on linearly over the first half time unit
 
 
 @dataclass(frozen=True)
@@ -260,13 +248,7 @@ def build_building(config: BuildingConfig = BuildingConfig()) -> FomProblem:
     for rect in parametric_rects:
         background[grid.cells_in_rectangle(rect)] = 0.0
     components.append(
-        OperatorComponent(
-            partial(_theta_const, 1.0),
-            assemble_weighted_stiffness(grid, background),
-            symmetric=True,
-            positive=True,
-            name="background",
-        )
+        OperatorComponent(assemble_weighted_stiffness(grid, background), symmetric=True, name="background")
     )
     for j, rect in enumerate(parametric_rects):
         weights = np.zeros(grid.num_cells)
@@ -274,11 +256,7 @@ def build_building(config: BuildingConfig = BuildingConfig()) -> FomProblem:
         kind = "wall" if j < len(cfg.walls) else "door"
         components.append(
             OperatorComponent(
-                partial(_theta_component, j),
-                assemble_weighted_stiffness(grid, weights),
-                symmetric=True,
-                positive=True,
-                name=f"{kind}{j}",
+                assemble_weighted_stiffness(grid, weights), parameter=j, symmetric=True, name=f"{kind}{j}"
             )
         )
     operator = AffineOperator(tuple(components))
@@ -295,7 +273,7 @@ def build_building(config: BuildingConfig = BuildingConfig()) -> FomProblem:
             vec[n] += quarter
         rhs_components.append(
             FunctionalComponent(
-                partial(_theta_component, heater_offset + j), vec, ramp=heater_ramp, name=f"heater{j}"
+                vec, parameter=heater_offset + j, ramp_rate=HEATER_RAMP_RATE, name=f"heater{j}"
             )
         )
     rhs = AffineFunctional(tuple(rhs_components), grid.num_nodes)
@@ -355,25 +333,15 @@ def build_heat_square(config: HeatSquareConfig = HeatSquareConfig()) -> FomProbl
     operator = AffineOperator(
         (
             OperatorComponent(
-                partial(_theta_component, 0),
-                assemble_weighted_stiffness(grid, left.astype(float)),
-                symmetric=True,
-                positive=True,
-                name="left",
+                assemble_weighted_stiffness(grid, left.astype(float)), parameter=0, symmetric=True, name="left"
             ),
             OperatorComponent(
-                partial(_theta_component, 1),
-                assemble_weighted_stiffness(grid, (~left).astype(float)),
-                symmetric=True,
-                positive=True,
-                name="right",
+                assemble_weighted_stiffness(grid, (~left).astype(float)), parameter=1, symmetric=True, name="right"
             ),
         )
     )
     load = assemble_mass(grid) @ np.ones(grid.num_nodes)
-    rhs = AffineFunctional(
-        (FunctionalComponent(partial(_theta_const, 1.0), load, name="source"),), grid.num_nodes
-    )
+    rhs = AffineFunctional((FunctionalComponent(load, name="source"),), grid.num_nodes)
     return _homogeneous_problem(
         grid,
         operator,

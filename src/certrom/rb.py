@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import CertifiedModel, Generator, NumericalError, OutputSignal, Trajectory
-from .fem import AffineFunctional
+from .fem import AffineFunctional, AffineOperator
 from .fom import FomProblem
 
 TEMPORAL_TOL = 1e-12  # relative Frobenius tail the learned samples' temporal basis leaves out
@@ -127,10 +127,6 @@ class EstimatorData:
     num_operator: int
     output_dual_norm: float
 
-    @property
-    def family_size(self) -> int:
-        return self.num_rhs + self.num_basis * (1 + self.num_operator)
-
 
 class RbRom:
     """Certified reduced-order model over one reduced basis (immutable)."""
@@ -141,7 +137,7 @@ class RbRom:
         time_grid,
         mass_hat: np.ndarray,
         operator_hats: list,
-        operator_thetas: list,
+        operator: AffineOperator,
         rhs_hats: np.ndarray,
         rhs: AffineFunctional,
         output_hat: np.ndarray,
@@ -149,7 +145,7 @@ class RbRom:
         init_coeffs: np.ndarray,
         init_defect: float,
         estimator: EstimatorData,
-        alpha_data: list,
+        theta_bar: np.ndarray,
         box,
         parameter_names=(),
     ):
@@ -157,7 +153,7 @@ class RbRom:
         self.time_grid = time_grid
         self.mass_hat = mass_hat
         self.operator_hats = operator_hats
-        self.operator_thetas = operator_thetas
+        self.operator = operator  # full-order operator: its thetas weight the reduced ones
         self.rhs_hats = rhs_hats  # N_rb x Q_l
         self.rhs = rhs  # full-order functional: its coefficient table drives both online kernels
         self.output_hat = output_hat
@@ -165,7 +161,8 @@ class RbRom:
         self.init_coeffs = init_coeffs
         self.init_defect = init_defect
         self.estimator = estimator
-        self.alpha_data = alpha_data  # [(theta, theta(mu_bar))] of symmetric components
+        self._symmetric = np.array([c.symmetric for c in operator.components])
+        self.theta_bar = theta_bar  # theta_q(mu_bar) > 0 of the symmetric components
         self.box = box
         self.parameter_names = tuple(parameter_names)
 
@@ -175,13 +172,10 @@ class RbRom:
 
     # -- coercivity -------------------------------------------------------
     def alpha_lb(self, mu) -> float:
-        ratios = []
-        for theta, theta_bar in self.alpha_data:
-            tq = theta(mu)
-            if tq <= 0.0 or theta_bar <= 0.0:
-                raise ValueError("min-theta inapplicable")
-            ratios.append(tq / theta_bar)
-        return float(min(ratios))
+        ratios = (self.operator.thetas(mu)[self._symmetric] / self.theta_bar).tolist()
+        if min(ratios) <= 0.0:  # theta_bar > 0: a ratio <= 0 is a theta_q(mu) <= 0
+            raise ValueError("min-theta inapplicable")
+        return min(ratios)
 
     # -- reduced solves ----------------------------------------------------
     def eval_state(self, mu) -> Trajectory:
@@ -194,7 +188,7 @@ class RbRom:
             return Trajectory(self.time_grid, np.zeros((K, 0)))
         dt = self.time_grid.dt
         system = self.mass_hat + dt * sum(
-            theta(mu) * mat for theta, mat in zip(self.operator_thetas, self.operator_hats)
+            theta * mat for theta, mat in zip(self.operator.thetas(mu).tolist(), self.operator_hats)
         )
         solved = sla.lu_solve(sla.lu_factor(system), np.hstack([self.mass_hat, self.rhs_hats]))
         propagator_t = np.ascontiguousarray(solved[:, :n].T)
@@ -232,7 +226,7 @@ class RbRom:
             raise ValueError("trajectory dimension does not match the estimator data")
         n, ql, factor = est.num_basis, est.num_rhs, est.factor
         c = traj.coeffs
-        thetas = np.array([theta(mu) for theta in self.operator_thetas])
+        thetas = self.operator.thetas(mu)
         operator_rows = factor[ql + n :].reshape(est.num_operator, n, factor.shape[1])
         rows = np.vstack([factor[: ql + n], np.tensordot(thetas, operator_rows, axes=1)])
         gammas = np.hstack([
@@ -259,9 +253,6 @@ class RbRom:
 
     def est_output_for(self, traj: Trajectory, mu) -> float:
         return self.estimator.output_dual_norm * self.est_state_for(traj, mu)
-
-    def est_state(self, mu) -> float:
-        return self.est_state_for(self.eval_state(mu), mu)
 
     def est_output(self, mu) -> float:
         return self.est_output_for(self.eval_state(mu), mu)
@@ -348,17 +339,16 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
         builder.add_basis_columns(phi)
     basis = ReducedBasis(phi, p.gram)
 
-    mass_hat = phi.T @ (p.mass @ phi)
-    operator_hats, operator_thetas, alpha_data = [], [], []
-    for comp in p.operator.components:
-        operator_hats.append(phi.T @ (comp.matrix @ phi))
-        operator_thetas.append(comp.theta)
-        if comp.symmetric:
-            if not comp.positive or comp.theta(p.mu_bar) <= 0.0:
-                raise ValueError("min-theta inapplicable")
-            alpha_data.append((comp.theta, float(comp.theta(p.mu_bar))))
-    if not alpha_data:
+    # min-theta needs theta_q > 0 on the whole box for each symmetric q; as
+    # theta_q(mu) is 1 or mu[parameter], its least value is at the lower corner
+    symmetric = np.array([c.symmetric for c in p.operator.components])
+    theta_bar = p.operator.thetas(p.mu_bar)[symmetric]
+    theta_low = p.operator.thetas(p.box.lower)[symmetric]
+    if not symmetric.any() or np.any(theta_low <= 0.0) or np.any(theta_bar <= 0.0):
         raise ValueError("min-theta inapplicable")
+
+    mass_hat = phi.T @ (p.mass @ phi)
+    operator_hats = [phi.T @ (comp.matrix @ phi) for comp in p.operator.components]
 
     rhs_vectors = p.rhs.vectors()
     rhs_hats = phi.T @ rhs_vectors if rhs_vectors.shape[1] else np.zeros((phi.shape[1], 0))
@@ -374,7 +364,7 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
         time_grid=p.time_grid,
         mass_hat=mass_hat,
         operator_hats=operator_hats,
-        operator_thetas=operator_thetas,
+        operator=p.operator,
         rhs_hats=rhs_hats,
         rhs=p.rhs,
         output_hat=output_hat,
@@ -382,7 +372,7 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
         init_coeffs=init_coeffs,
         init_defect=init_defect,
         estimator=builder.build(),
-        alpha_data=alpha_data,
+        theta_bar=theta_bar,
         box=p.box,
         parameter_names=p.parameter_names,
     )
@@ -409,9 +399,6 @@ class LearnedRom(CertifiedModel):
 
     def est_output(self, mu) -> float:
         return self.rb_rom.est_output_for(self.eval_state(mu), mu)
-
-    def est_state(self, mu) -> float:
-        return self.rb_rom.est_state_for(self.eval_state(mu), mu)
 
 
 class LearnedGenerator(Generator):
@@ -484,7 +471,7 @@ class LearnedGenerator(Generator):
         coeffs = trajectory.coeffs
         if coeffs.shape != (self.rb_rom.time_grid.num_nodes, self.rb_rom.dim):
             raise ValueError("trajectory does not match the reduced basis and time grid")
-        self._grow_time_basis(coeffs)
+        coords = self._grow_time_basis(coeffs)
         n = len(self._mus)
         i = next((j for j, old_mu in enumerate(self._mus) if np.array_equal(old_mu, mu)), n)
         if i < n:
@@ -492,17 +479,19 @@ class LearnedGenerator(Generator):
         else:
             self._rows = _reserve_rows(self._rows, n, n + 1, math.prod(self._coordinate_shape))
             self._mus.append(mu.copy())
-        self._rows[i] = (self._time_basis.T @ coeffs).ravel()
+        self._rows[i] = coords.ravel()
         self._pending += 1
 
-    def _grow_time_basis(self, coeffs: np.ndarray):
+    def _grow_time_basis(self, coeffs: np.ndarray) -> np.ndarray:
         """Append the leading left singular vectors of the part of coeffs that
-        T misses, until the remainder is at most TEMPORAL_TOL * ||coeffs||_F."""
+        T misses, until the remainder is at most TEMPORAL_TOL * ||coeffs||_F.
+        Returns T^T coeffs on the resulting T."""
         basis = self._time_basis
-        missed = coeffs - basis @ (basis.T @ coeffs)
+        coords = basis.T @ coeffs
+        missed = coeffs - basis @ coords
         bound = TEMPORAL_TOL * np.linalg.norm(coeffs)
         if np.linalg.norm(missed) <= bound:
-            return
+            return coords
         vectors, values, _ = np.linalg.svd(missed, full_matrices=False)
         tails = np.sqrt(np.cumsum(values[::-1] ** 2))[::-1]  # tails[r]: norm of values[r:]
         identity = sp.identity(basis.shape[0], format="csr")
@@ -510,6 +499,7 @@ class LearnedGenerator(Generator):
         old_shape = self._coordinate_shape
         self._time_basis = np.hstack([basis, new])
         self._pad(old_shape, self._coordinate_shape)
+        return self._time_basis.T @ coeffs
 
     def _pad(self, old_shape: tuple, new_shape: tuple):
         """Zero-pad the live rows, and the fitted model through ``_pad_model``,

@@ -46,12 +46,10 @@ def scalar_problem(a=1.0, load=0.0, u0=1.0, num_nodes=11, t_end=1.0):
     closed-form recursions."""
     mat = sp.csr_matrix(np.array([[a]]))
     eye = sp.csr_matrix(np.array([[1.0]]))
-    op = AffineOperator(
-        (OperatorComponent(lambda mu: float(mu[0]), mat, symmetric=True, positive=True),)
-    )
+    op = AffineOperator((OperatorComponent(mat, parameter=0, symmetric=True),))
     comps = ()
     if load != 0.0:
-        comps = (FunctionalComponent(lambda mu: 1.0, np.array([load])),)
+        comps = (FunctionalComponent(np.array([load])),)
     rhs = AffineFunctional(comps, 1)
     box = ParameterBox(np.array([0.1]), np.array([10.0]))
     return FomProblem(

@@ -11,6 +11,7 @@ from certrom import (
     FunctionalComponent,
     NumericalError,
     OperatorComponent,
+    TimeGrid,
     apply_dirichlet_shift,
     assemble_advection,
     assemble_diffusion,
@@ -207,14 +208,12 @@ def _toy_shift_setup(nx=4, ny=4):
     grid = build_grid((0, 1, 0, 1), nx, ny)
     op = AffineOperator(
         (
-            OperatorComponent(lambda mu: 1.0, assemble_diffusion(grid, np.ones(grid.num_cells)),
-                              symmetric=True, positive=True),
-            OperatorComponent(lambda mu: float(mu[0]), assemble_mass(grid),
-                              symmetric=True, positive=True),
+            OperatorComponent(assemble_diffusion(grid, np.ones(grid.num_cells)), symmetric=True),
+            OperatorComponent(assemble_mass(grid), parameter=0, symmetric=True),
         )
     )
     load = assemble_mass(grid) @ np.ones(grid.num_nodes)
-    rhs = AffineFunctional((FunctionalComponent(lambda mu: 1.0, load),), grid.num_nodes)
+    rhs = AffineFunctional((FunctionalComponent(load),), grid.num_nodes)
     return grid, op, rhs
 
 
@@ -229,7 +228,6 @@ class TestDirichletShift:
             m = c.matrix.toarray()
             assert np.allclose(m[dofs][:, np.setdiff1d(np.arange(grid.num_nodes), dofs)], 0.0)
             assert np.allclose(np.diag(m)[dofs], 1.0)
-        assert lifting.applied
 
     def test_component_bookkeeping(self):
         grid, op, rhs = _toy_shift_setup()
@@ -243,7 +241,7 @@ class TestDirichletShift:
         # steady diffusion with inhomogeneous Dirichlet data on a 4x4 grid
         grid = build_grid((0, 1, 0, 1), 4, 4)
         a_raw = assemble_diffusion(grid, np.ones(grid.num_cells))
-        op = AffineOperator((OperatorComponent(lambda mu: 1.0, a_raw, True, True),))
+        op = AffineOperator((OperatorComponent(a_raw, symmetric=True),))
         rhs = AffineFunctional((), grid.num_nodes)
         dofs = grid.boundary_nodes()
         g = np.zeros(grid.num_nodes)
@@ -272,7 +270,7 @@ class TestEnergyProduct:
     def test_single_mass_component(self):
         grid = build_grid((0, 1, 0, 1), 2, 2)
         m = assemble_mass(grid)
-        op = AffineOperator((OperatorComponent(lambda mu: 1.0, m, True, True),))
+        op = AffineOperator((OperatorComponent(m, symmetric=True),))
         g = energy_product(op, np.array([1.0]))
         assert np.allclose(g.toarray(), m.toarray())
 
@@ -282,20 +280,41 @@ class TestEnergyProduct:
         g = energy_product(op, mu_bar)
         rng = np.random.default_rng(5)
         v = rng.normal(size=grid.num_nodes)
-        expected = sum(c.theta(mu_bar) * (c.matrix @ v) for c in op.components if c.symmetric)
+        thetas = op.thetas(mu_bar)
+        expected = sum(th * (c.matrix @ v) for th, c in zip(thetas, op.components) if c.symmetric)
         assert np.allclose(g @ v, expected, atol=1e-12)
 
     def test_small_case_eigenvalues_positive(self):
         mats = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
-        op = AffineOperator((OperatorComponent(lambda mu: 1.0, mats, True, True),))
+        op = AffineOperator((OperatorComponent(mats, symmetric=True),))
         g = energy_product(op, np.zeros(1))
         assert np.all(np.linalg.eigvalsh(g.toarray()) > 0)
 
     def test_indefinite_rejected(self):
         mats = sp.csr_matrix(np.diag([1.0, -1.0]))
-        op = AffineOperator((OperatorComponent(lambda mu: 1.0, mats, True, True),))
+        op = AffineOperator((OperatorComponent(mats, symmetric=True),))
         with pytest.raises(NumericalError, match="not SPD"):
             energy_product(op, np.zeros(1))
+
+
+class TestAffineCoefficients:
+    def test_thetas_read_parameter_indices(self):
+        mat = sp.identity(2, format="csr")
+        op = AffineOperator(
+            (OperatorComponent(mat, parameter=2), OperatorComponent(mat), OperatorComponent(mat, parameter=0))
+        )
+        assert np.array_equal(op.thetas([3.0, 5.0, 7.0]), [7.0, 1.0, 3.0])
+
+    def test_ramp_is_rate_times_time_capped_at_one(self):
+        rhs = AffineFunctional(
+            (FunctionalComponent(np.ones(2), parameter=1, ramp_rate=2.0), FunctionalComponent(np.ones(2))), 2
+        )
+        table = rhs.coefficient_table([3.0, 5.0], TimeGrid(1.0, 5))  # nodes 0, 1/4, 1/2, 3/4, 1
+        assert np.array_equal(table, [[0.0, 1.0], [2.5, 1.0], [5.0, 1.0], [5.0, 1.0], [5.0, 1.0]])
+
+    def test_negative_parameter_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            AffineOperator((OperatorComponent(sp.identity(2, format="csr"), parameter=-1),))
 
 
 class TestFieldRaster:
@@ -342,8 +361,8 @@ class TestInvariants:
         a_react = assemble_reaction(grid, mask)
         op = AffineOperator(
             (
-                OperatorComponent(lambda mu: 1.0, a_diff, True, True),
-                OperatorComponent(lambda mu: float(mu[0]), a_react, True, True),
+                OperatorComponent(a_diff, symmetric=True),
+                OperatorComponent(a_react, parameter=0, symmetric=True),
             )
         )
         mu = np.array([3.7])

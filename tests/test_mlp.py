@@ -271,15 +271,3 @@ class TestGenerator:
         cold = mlp_train(xs, ys, sizes, replace(cfg, seed=cfg.seed + 1))
         assert np.array_equal(flat(retrained), flat(cold))
 
-
-class TestCheckpoint:
-    def test_params_roundtrip(self, tmp_path):
-        from certrom import load_mlp_params, save_mlp_params
-
-        rng = np.random.default_rng(31)
-        params = init_params([4, 6, 3], rng)
-        path = tmp_path / "params.npz"
-        save_mlp_params(path, params)
-        loaded = load_mlp_params(path)
-        x = rng.normal(size=(3, 4))
-        assert np.array_equal(mlp_forward(loaded, x), mlp_forward(params, x))

@@ -159,7 +159,7 @@ class TestBuilding:
 
     def test_coefficient_table_matches_per_node_coefficients(self):
         p = build_building()
-        assert any(c.ramp is not None for c in p.rhs.components)
+        assert any(c.ramp_rate is not None for c in p.rhs.components)
         rng = np.random.default_rng(8)
         for _ in range(2):
             mu = p.box.sample(rng)

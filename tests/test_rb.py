@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certrom import (
     AffineFunctional,
@@ -58,28 +60,32 @@ def _two_theta_operator():
     mats = [sp.identity(2, format="csr"), sp.csr_matrix(np.diag([2.0, 0.5]))]
     return AffineOperator(
         (
-            OperatorComponent(lambda mu: float(mu[0]), mats[0], True, True),
-            OperatorComponent(lambda mu: float(mu[1]), mats[1], True, True),
+            OperatorComponent(mats[0], parameter=0, symmetric=True),
+            OperatorComponent(mats[1], parameter=1, symmetric=True),
         )
     )
 
 
-def _two_theta_rom(mu_bar):
-    """Two-DoF problem with theta_q(mu) = mu_q on both (symmetric, positive)
-    components, reduced on the full identity basis."""
+def _two_theta_problem(mu_bar, operator=None, lower=(0.1, 0.1)):
+    """Two-DoF problem, by default with theta_q(mu) = mu_q on both symmetric
+    components."""
     eye = sp.identity(2, format="csr")
-    problem = FomProblem(
-        operator=_two_theta_operator(),
+    return FomProblem(
+        operator=_two_theta_operator() if operator is None else operator,
         mass=eye,
         rhs=AffineFunctional((), 2),
         output=np.ones(2),
         time_grid=TimeGrid(1.0, 3),
         gram=eye,
         mu_bar=np.asarray(mu_bar, dtype=float),
-        box=ParameterBox(np.array([0.1, 0.1]), np.array([10.0, 10.0])),
+        box=ParameterBox(np.array(lower), np.array([10.0, 10.0])),
         initial=np.zeros(2),
     )
-    return assemble_rb_rom(problem, np.eye(2))
+
+
+def _two_theta_rom(mu_bar):
+    """The two-theta problem reduced on the full identity basis."""
+    return assemble_rb_rom(_two_theta_problem(mu_bar), np.eye(2))
 
 
 class TestMinTheta:
@@ -103,12 +109,35 @@ class TestMinTheta:
         with pytest.raises(ValueError, match="min-theta"):
             rom.alpha_lb([-1.0, 1.0])
 
+    def test_box_reaching_zero_rejected(self):
+        # theta_0(mu_bar) = 1 > 0, but theta_0 = mu_0 vanishes on the box's lower face
+        problem = _two_theta_problem([1.0, 1.0], lower=(0.0, 0.1))
+        with pytest.raises(ValueError, match="min-theta inapplicable"):
+            assemble_rb_rom(problem, np.eye(2))
+
+    def test_nonpositive_reference_theta_rejected(self):
+        problem = _two_theta_problem([-1.0, 1.0])
+        with pytest.raises(ValueError, match="min-theta inapplicable"):
+            assemble_rb_rom(problem, np.eye(2))
+
+    def test_constant_theta_accepted_on_any_box(self):
+        # theta = 1 on the symmetric part; the box reaching 0 only concerns
+        # the nonsymmetric component's parameter
+        operator = AffineOperator(
+            (
+                OperatorComponent(sp.identity(2, format="csr"), symmetric=True),
+                OperatorComponent(sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]])), parameter=0),
+            )
+        )
+        rom = assemble_rb_rom(_two_theta_problem([1.0, 1.0], operator, lower=(-1.0, -1.0)), np.eye(2))
+        assert rom.alpha_lb([-1.0, 0.0]) == 1.0
+
 
 def stepwise_reduced_solve(rom, mu) -> np.ndarray:
     """Reference implicit Euler for the reduced system: one LU solve per step
     with the per-node forcing coefficients."""
     dt = rom.time_grid.dt
-    system = rom.mass_hat + dt * sum(th(mu) * a for th, a in zip(rom.operator_thetas, rom.operator_hats))
+    system = rom.mass_hat + dt * sum(th * a for th, a in zip(rom.operator.thetas(mu), rom.operator_hats))
     lu = sla.lu_factor(system)
     nodes = rom.time_grid.nodes
     coeffs = np.empty((nodes.size, rom.dim))
@@ -306,3 +335,40 @@ class TestEstimates:
         basis = snapshot_basis(heat_problem, [[1.0, 1.0], [1.7, 0.7]])
         rom = assemble_rb_rom(heat_problem, basis)
         assert rom.basis.orthonormality_defect() <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def perturbation_cases(heat_problem, small_reactive_problem):
+    """Per problem: the FOM and an RB-ROM on a truncated snapshot basis, so the
+    Galerkin trajectory itself carries a visible error."""
+    cases = {}
+    for name, problem, mus, dim in (
+        ("heat_square", heat_problem, [[0.7, 1.8], [1.9, 0.6]], 4),
+        ("reactive_flow", small_reactive_problem, [[1.0, 10.0], [8.0, 9.5]], 8),
+    ):
+        basis = snapshot_basis(problem, mus, drop_tol=1e-10)[:, :dim]
+        cases[name] = (FullOrderModel(problem), assemble_rb_rom(problem, basis))
+    return cases
+
+
+class TestOutputBoundProperty:
+    @pytest.mark.parametrize("case", ["heat_square", "reactive_flow"])
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        unit=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        log_size=st.floats(-8.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_fom_output_error_of_perturbed_galerkin_trajectory(
+        self, perturbation_cases, case, unit, log_size, seed
+    ):
+        fom, rom = perturbation_cases[case]
+        box = rom.box
+        mu = box.lower + np.array(unit) * (box.upper - box.lower)
+        coeffs = rom.eval_state(mu).coeffs
+        noise = np.random.default_rng(seed).normal(size=coeffs.shape)
+        noise[0] = 0.0  # row 0 keeps the exact initial datum
+        coeffs = coeffs + 10.0**log_size * np.linalg.norm(coeffs) / np.linalg.norm(noise) * noise
+        traj = Trajectory(rom.time_grid, coeffs)
+        err = l2_time_norm(fom.eval_output(mu) - rom.output_of(traj))
+        assert err <= rom.est_output_for(traj, mu)
