@@ -74,6 +74,8 @@ from .rb import (
     RbRom,
     ReducedBasis,
     RieszSolver,
+    SpannedTrajectory,
+    TemporalBasis,
     assemble_rb_rom,
 )
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import NumericalError, OutputSignal, Trajectory
 from .fom import FullOrderModel
+from .rb import SpannedTrajectory
 
 TIER_ML = "ml"
 TIER_RB = "rb"
@@ -83,7 +84,9 @@ class AdaptiveModel:
 
         def certify(traj):
             rom = self.rb_rom  # the current one: enrichment replaces it
-            return rom.est_state_for(traj, mu) if use_state_estimate else rom.est_output_for(traj, mu)
+            temporal = self.ml_generator.temporal  # likewise: extends grow it
+            estimate = rom.est_state_for if use_state_estimate else rom.est_output_for
+            return estimate(traj, mu, temporal)
 
         tic = time.perf_counter()
         ml_traj = self.ml_rom.eval_state(mu)
@@ -101,6 +104,7 @@ class AdaptiveModel:
         rb_traj = self.rb_rom.eval_state(mu)
         rec.t_rb_eval = time.perf_counter() - tic
         tic = time.perf_counter()
+        rb_traj = self.ml_generator.temporal.project(rb_traj)  # once, for the estimate and the store
         rec.delta_rb = certify(rb_traj)
         rec.t_rb_est = time.perf_counter() - tic
 
@@ -121,7 +125,7 @@ class AdaptiveModel:
 
         tic = time.perf_counter()
         self.ml_generator = self.ml_generator.prolong(self.rb_rom)
-        rb_traj = self.rb_rom.eval_state(mu)
+        rb_traj = self.ml_generator.temporal.project(self.rb_rom.eval_state(mu))
         rec.t_ml_build = time.perf_counter() - tic
         self._learn(mu, rb_traj, rec)
 
@@ -245,9 +249,9 @@ def apply_tolerance_drop(model: AdaptiveModel, new_eps: float) -> int:
     model.eps = float(new_eps)
     gen = model.ml_generator
     rom = model.rb_rom
-    time_basis = gen.time_basis
-    dropped = gen.discard(  # one trajectory rebuilt at a time
-        rom.est_output_for(Trajectory(rom.time_grid, time_basis @ coords), mu) <= new_eps
+    temporal = gen.temporal
+    dropped = gen.discard(  # certified from the stored coordinates, no trajectory rebuilt
+        rom.est_output_for(SpannedTrajectory(temporal, coords), mu, temporal) <= new_eps
         for mu, coords in gen.samples
     )
     model.events.append(

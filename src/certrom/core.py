@@ -5,6 +5,7 @@ every tier (full order, reduced, learned) is measured in."""
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,16 @@ class TimeGrid:
     def dt(self) -> float:
         return self.t_end / (self.num_nodes - 1)
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.num_nodes)
+        """The K node times, computed once per grid and read-only."""
+        nodes = np.linspace(0.0, self.t_end, self.num_nodes)
+        nodes.flags.writeable = False
+        return nodes
+
+    def __getstate__(self):
+        # a pickle would restore the cached nodes writeable; they are rebuilt instead
+        return {k: v for k, v in self.__dict__.items() if k != "nodes"}
 
 
 @dataclass(frozen=True)

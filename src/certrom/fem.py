@@ -398,15 +398,17 @@ class AffineFunctional(_AffineSum):
             for theta, c in zip(self.thetas(mu).tolist(), self.components)
         ])
 
+    def ramp_table(self, grid) -> np.ndarray:
+        """r_q(t_k) at every node t_k of the time grid, shape (K, Q)."""
+        table = np.ones((grid.num_nodes, len(self.components)))
+        if self._ramped.size:
+            table[:, self._ramped] = np.minimum(np.multiply.outer(grid.nodes, self._ramp_rates), 1.0)
+        return table
+
     def coefficient_table(self, mu, grid) -> np.ndarray:
         """theta_q(mu) r_q(t_k) at every node t_k of the time grid, shape (K, Q);
         row k equals ``coefficients(mu, t_k)``."""
-        thetas = self.thetas(mu)
-        table = np.repeat(thetas[None, :], grid.num_nodes, axis=0)
-        if self._ramped.size:
-            ramps = np.minimum(np.multiply.outer(grid.nodes, self._ramp_rates), 1.0)
-            table[:, self._ramped] = ramps * thetas[self._ramped]
-        return table
+        return self.ramp_table(grid) * self.thetas(mu)
 
     def assemble(self, mu, t: float) -> np.ndarray:
         if not self.components:

@@ -12,8 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Trajectory
-from .rb import LearnedGenerator, LearnedRom, RbRom, _pad_flat, _reserve_rows
+from .rb import LearnedGenerator, LearnedRom, RbRom, SpannedTrajectory, TemporalBasis, _pad_flat, _reserve_rows
 
 POWER_FLOOR = 1e-12  # squared power function below this is numerically exhausted
 
@@ -230,26 +229,30 @@ def vkoga_fit(
 
 
 class VkogaRom(LearnedRom):
-    """Certified learned ROM: kernel-predicted temporal coordinates mapped
-    through the temporal basis they were fitted in, with the output operator
-    and error estimator shared from the underlying RB-ROM."""
+    """Certified learned ROM: kernel-predicted coordinates in the temporal
+    basis they were fitted in, with the output operator and error estimator
+    shared from the underlying RB-ROM."""
 
-    def __init__(self, rb_rom: RbRom, model: Optional[KernelModel], time_basis: np.ndarray):
+    def __init__(self, rb_rom: RbRom, model: Optional[KernelModel], temporal: TemporalBasis):
         super().__init__(rb_rom)
         self.model = model
-        self.time_basis = time_basis  # K x m
+        self.temporal = temporal
 
     @property
     def size(self) -> int:
         return 0 if self.model is None else self.model.num_centers
 
-    def eval_state(self, mu) -> Trajectory:
+    def eval_state(self, mu) -> SpannedTrajectory:
+        """The predicted coordinates with the exact reduced initial row; the
+        coefficients are built only when read."""
         rom = self.rb_rom
         mu = rom.box.validate(mu)
+        shape = (self.temporal.dim, rom.dim)
         if self.size == 0:
-            return self._trajectory(np.zeros((rom.time_grid.num_nodes, rom.dim)))
-        flat = self.model.predict(rom.box.to_unit(mu)[None, :])[0]
-        return self._trajectory(self.time_basis @ flat.reshape(self.time_basis.shape[1], rom.dim))
+            coords = np.zeros(shape)
+        else:
+            coords = self.model.predict(rom.box.to_unit(mu)[None, :])[0].reshape(shape)
+        return SpannedTrajectory(self.temporal, coords, initial=rom.init_coeffs)
 
 
 class VkogaGenerator(LearnedGenerator):
@@ -269,7 +272,7 @@ class VkogaGenerator(LearnedGenerator):
 
     def current_model(self) -> VkogaRom:
         """The model as currently fitted (a zero predictor before any fit)."""
-        return VkogaRom(self.rb_rom, self._model, self.time_basis)
+        return VkogaRom(self.rb_rom, self._model, self.temporal)
 
     def _forget_model(self):
         self._model = None

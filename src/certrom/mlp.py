@@ -267,7 +267,7 @@ class DnnGenerator(LearnedGenerator):
             self.scaler.scale(np.column_stack([np.tile(mu, (len(nodes), 1)), nodes])) for mu in self._mus
         ])
         coords = self._targets().reshape(len(self._mus), *self._coordinate_shape)
-        return xs, (self._time_basis @ coords).reshape(len(xs), self.rb_rom.dim)
+        return xs, (self.temporal.matrix @ coords).reshape(len(xs), self.rb_rom.dim)
 
     def current_model(self) -> DnnRom:
         return DnnRom(self.rb_rom, self.params, self.scaler)

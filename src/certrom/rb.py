@@ -24,6 +24,9 @@ from .fem import AffineFunctional, AffineOperator
 from .fom import FomProblem
 
 TEMPORAL_TOL = 1e-12  # relative Frobenius tail the learned samples' temporal basis leaves out
+# largest share of a temporal-coordinate estimate its tail term may have; the
+# estimate then exceeds the step-by-step one by at most about twice that share
+TAIL_SHARE = 1e-3
 
 
 class RieszSolver:
@@ -36,9 +39,8 @@ class RieszSolver:
             raise NumericalError("Gram matrix factorization failed") from exc
 
     def solve(self, functional: np.ndarray) -> np.ndarray:
-        if functional.ndim == 1:
-            return self._solver.solve(functional)
-        return np.column_stack([self._solver.solve(functional[:, j]) for j in range(functional.shape[1])])
+        """Representative of one functional, or one column per column of a block."""
+        return self._solver.solve(functional)
 
     def dual_norm(self, functional: np.ndarray) -> float:
         rep = self.solve(functional)
@@ -49,33 +51,42 @@ def orthonormalize(vectors, gram, existing: Optional[np.ndarray] = None, drop_to
     """Two-pass Gram-Schmidt of the columns w.r.t. the Gram inner product,
     against an optional existing orthonormal set.
 
-    Returns the new orthonormal columns and the coordinates of every input
-    column in [existing | new columns], accumulated over both projection
-    passes. A column whose post-projection norm falls below drop_tol times
-    its original norm adds no direction and keeps only its projection
-    coordinates (a zero column has zero coordinates).
+    Each column is projected twice against [existing | the new directions of
+    the columns before it]. The first pass against the existing set does not
+    depend on the other columns and runs for the whole batch at once, one
+    matrix product; the rest runs column by column, since the second pass
+    must act on what the batch's own directions left over. Returns the new
+    orthonormal columns and the coordinates of every input column in
+    [existing | new columns], accumulated over both passes. A column whose
+    post-projection norm falls below drop_tol times its original norm adds
+    no direction and keeps only its projection coordinates (a zero column
+    has zero coordinates).
     """
-    cols = np.asarray(vectors, dtype=float)
+    cols = np.array(vectors, dtype=float)  # a copy, projected in place
     if cols.ndim == 1:
         cols = cols[:, None]
     num_old = 0 if existing is None else existing.shape[1]
-    base = existing if existing is not None and existing.size else None
     coords = np.zeros((num_old + cols.shape[1], cols.shape[1]))
+    weighted = gram @ cols
+    origs = np.sqrt(np.maximum(np.einsum("ij,ij->j", cols, weighted), 0.0))
+    if num_old:
+        coords[:num_old] = existing.T @ weighted
+        cols -= existing @ coords[:num_old]
     kept = np.empty(cols.shape)  # the first `count` columns are the new directions
     count = 0
-    for j in range(cols.shape[1]):
-        v = cols[:, j].copy()
-        orig = math.sqrt(max(v @ (gram @ v), 0.0))
+    for j, orig in enumerate(origs.tolist()):
         if orig == 0.0:
             continue
-        blocks = [(0, base)] if base is not None else []
-        if count:
-            blocks.append((num_old, kept[:, :count]))
-        for _ in range(2):
-            for offset, block in blocks:
-                c = block.T @ (gram @ v)
-                v = v - block @ c
-                coords[offset : offset + c.size, j] += c
+        v = cols[:, j]
+        blocks = [(num_old, kept[:, :count])] if count else []
+        if num_old:
+            blocks = blocks + [(0, existing)] + blocks  # the first pass's rest, the second pass
+        else:
+            blocks = blocks * 2
+        for offset, block in blocks:
+            c = block.T @ (gram @ v)
+            v = v - block @ c
+            coords[offset : offset + c.size, j] += c
         norm = math.sqrt(max(v @ (gram @ v), 0.0))
         if norm < drop_tol * orig:
             continue
@@ -242,17 +253,67 @@ class RbRom:
         if self.init_defect > 1e-8 * scale:
             raise NumericalError("initial datum is not represented in the reduced space")
 
-    def est_state_for(self, traj: Trajectory, mu) -> float:
+    def _temporal_residual_norm(self, traj: "SpannedTrajectory", mu) -> tuple:
+        """sqrt(sum_k ||r_k||^2) of the step defects of a trajectory given in
+        temporal coordinates, as two terms whose sum bounds it: the exact norm
+        of the part in span [T | e_0], ||R_B Y||_F (see TemporalBasis), and a
+        bound on the defects of the tail E,
+        ||DE||_F ||F_M||_F + ||E_1||_F ||F_A(mu)||_F."""
+        est = self.estimator
+        if traj.dim != est.num_basis:
+            raise ValueError("trajectory dimension does not match the estimator data")
+        n, ql, factor = est.num_basis, est.num_rhs, est.factor
+        mass_rows = factor[ql : ql + n]
+        operator_rows = np.tensordot(
+            self.operator.thetas(mu), factor[ql + n :].reshape(est.num_operator, n, factor.shape[1]), axes=1
+        )
+        coords = traj.coordinates
+        stacked = np.vstack([
+            self.rhs.thetas(mu)[:, None] * factor[:ql],
+            coords @ mass_rows,
+            traj.head[None, :] @ mass_rows,
+            coords @ operator_rows,
+        ])
+        norm = float(np.linalg.norm(traj.temporal.r_factor() @ stacked))
+        if traj.tail is None:
+            return norm, 0.0
+        tail = traj.tail
+        return norm, float(
+            np.linalg.norm(np.diff(tail, axis=0)) / self.time_grid.dt * np.linalg.norm(mass_rows)
+            + np.linalg.norm(tail[1:]) * np.linalg.norm(operator_rows)
+        )
+
+    def _residual_square_sum(self, traj: Trajectory, mu, temporal: Optional["TemporalBasis"]) -> float:
+        """sum_k ||r_k||^2 (or a bound on it), in the coordinates of the
+        temporal basis when one is given, its time-only block has fewer
+        columns than there are steps, and the trajectory's tail outside
+        span [T | e_0] is at most TEMPORAL_TOL relative, with a bound at most
+        TAIL_SHARE of the rest; step by step otherwise. Near an exact
+        reproduction the tail's own defects can match the whole residual:
+        there the step-by-step norm is the sharper one."""
+        if temporal is not None:
+            if temporal.saves_work():
+                spanned = temporal.project(traj)
+                tail = spanned.tail
+                if tail is None or np.linalg.norm(tail) <= TEMPORAL_TOL * np.linalg.norm(spanned.coeffs):
+                    norm, tail_term = self._temporal_residual_norm(spanned, mu)
+                    if tail_term <= TAIL_SHARE * norm:
+                        temporal.counts["temporal"] += 1
+                        return (norm + tail_term) ** 2
+            temporal.counts["k_step"] += 1
+        return np.sum(self.residual_dual_norms(traj, mu) ** 2)
+
+    def est_state_for(self, traj: Trajectory, mu, temporal: Optional["TemporalBasis"] = None) -> float:
         """Upper bound of the state error of any reduced trajectory whose first
-        row reproduces the initial datum."""
+        row reproduces the initial datum; ``temporal`` offers a temporal basis
+        in whose coordinates the residual may be evaluated."""
         mu = self.box.validate(mu)
         self._check_initial()
-        res = self.residual_dual_norms(traj, mu)
         dt = self.time_grid.dt
-        return float(np.sqrt(dt * np.sum(res**2)) / self.alpha_lb(mu))
+        return float(np.sqrt(dt * self._residual_square_sum(traj, mu, temporal)) / self.alpha_lb(mu))
 
-    def est_output_for(self, traj: Trajectory, mu) -> float:
-        return self.estimator.output_dual_norm * self.est_state_for(traj, mu)
+    def est_output_for(self, traj: Trajectory, mu, temporal: Optional["TemporalBasis"] = None) -> float:
+        return self.estimator.output_dual_norm * self.est_state_for(traj, mu, temporal)
 
     def est_output(self, mu) -> float:
         return self.est_output_for(self.eval_state(mu), mu)
@@ -378,6 +439,105 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
     )
 
 
+class SpannedTrajectory(Trajectory):
+    """Reduced trajectory C = T C_hat + e_0 h + E given by coordinates in the
+    temporal basis T (K x m) of ``temporal``: C_hat (m x N), the exact initial
+    row (None: row 0 of T C_hat) and the tail E outside span [T | e_0] (zero
+    in row 0; None: no tail). The initial row enters through the coordinate
+    h = c_0 - T_0 C_hat of e_0. The coefficients are built on first use,
+    T C_hat + E with row 0 replaced by the initial row, unless given."""
+
+    def __init__(self, temporal: "TemporalBasis", coordinates: np.ndarray, initial=None, tail=None, coeffs=None):
+        fields = dict(grid=temporal.grid, temporal=temporal, coordinates=coordinates, initial=initial, tail=tail)
+        self.__dict__.update(fields, _coeffs=coeffs)  # frozen like Trajectory: no setattr
+
+    @property
+    def dim(self) -> int:
+        return self.coordinates.shape[1]
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            coeffs = self.temporal.matrix @ self.coordinates
+            if self.tail is not None:
+                coeffs += self.tail
+            if self.initial is not None:
+                coeffs[0] = self.initial
+            self.__dict__["_coeffs"] = coeffs
+        return self._coeffs
+
+    @property
+    def head(self) -> np.ndarray:
+        """h, the coordinate of e_0."""
+        if self.initial is None:
+            return np.zeros(self.dim)
+        return self.initial - self.temporal.matrix[0] @ self.coordinates
+
+
+class TemporalBasis:
+    """Shared temporal basis T (K x m, orthonormal columns) of the learned
+    samples, and the time-only block of the residual estimate in
+    T' = [T | e_0].
+
+    For C = T C_hat + e_0 h, the K-1 step defects of RbRom.residual_dual_norms
+    stack to B Y, with the time-only block B = [R | -D T | -D e_0 | -T_1]
+    ((K-1) x (Q_l + 2m + 1); R the ramp table r_q(t_k), D the backward
+    difference over dt, T_1 rows 1..K-1 of T; the e_0 column of T_1 is zero
+    and left out) and Y = [diag(theta_L(mu)) F_L; C_hat F_M; h F_M;
+    C_hat F_A(mu)]. Only the triangular factor R_B of a thin QR of B is kept,
+    built on first use after T changed: sum_k ||r_k||^2 = ||R_B Y||_F^2 is
+    still the norm of a product, never a squared Gram.
+
+    T is never written in place: ``grown`` returns a new object, so a copy of
+    a store that holds this one stays independent. The copies share the
+    per-path ``counts`` (temporal and step-by-step estimates, R_B builds)."""
+
+    def __init__(self, grid, rhs: AffineFunctional):
+        self.grid = grid
+        self.matrix = np.zeros((grid.num_nodes, 0))
+        self._ramps = rhs.ramp_table(grid)[1:]
+        self._r_factor = None
+        self.counts = {"temporal": 0, "k_step": 0, "refreshes": 0}
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    def grown(self, columns: np.ndarray) -> "TemporalBasis":
+        """Copy with the orthonormal ``columns`` appended to T."""
+        out = copy.copy(self)
+        out.matrix = np.hstack([self.matrix, columns])
+        out._r_factor = None
+        return out
+
+    def saves_work(self) -> bool:
+        """Whether B has fewer columns (Q_l + 2m + 1) than rows (the K-1
+        steps); otherwise the temporal form saves nothing."""
+        return self._ramps.shape[1] + 2 * self.dim + 1 < self._ramps.shape[0]
+
+    def r_factor(self) -> np.ndarray:
+        if self._r_factor is None:
+            basis, dt = self.matrix, self.grid.dt
+            initial_step = np.zeros((basis.shape[0] - 1, 1))  # -D e_0
+            initial_step[0] = 1.0 / dt
+            block = np.hstack([self._ramps, (basis[:-1] - basis[1:]) / dt, initial_step, -basis[1:]])
+            self._r_factor = np.linalg.qr(block, mode="r")
+            self.counts["refreshes"] += 1
+        return self._r_factor
+
+    def project(self, traj: Trajectory) -> SpannedTrajectory:
+        """The trajectory with its coordinates T^T C and its tail in this basis
+        (a trajectory whose row 0 leaves span T keeps the effect in its tail);
+        one already given in this basis is returned as it is."""
+        if isinstance(traj, SpannedTrajectory) and traj.temporal is self:
+            return traj
+        coeffs = traj.coeffs
+        coords = self.matrix.T @ coeffs
+        tail = coeffs - self.matrix @ coords
+        tail[0] = 0.0  # the initial row is carried by e_0
+        return SpannedTrajectory(self, coords, initial=coeffs[0], tail=tail, coeffs=coeffs)
+
+
 class LearnedRom(CertifiedModel):
     """Certified learned ROM: a backend predicts the reduced trajectory
     (``eval_state``), the output operator and the error estimator are the
@@ -408,11 +568,12 @@ class LearnedGenerator(Generator):
     nested bases by zero-padding.
 
     The trajectories share one nested temporal basis T (K x m, orthonormal
-    columns), grown in ``extend`` until every stored trajectory C is
-    reproduced by T (T^T C) to TEMPORAL_TOL relative in the Frobenius norm.
-    Each sample is kept once, as row i of a block that grows by doubling
-    (sample i's m x N coordinates T^T C, row-major); backends fit on views
-    of it.
+    columns), held by ``temporal`` (a TemporalBasis, rebound whenever T grows)
+    and grown in ``extend`` until every stored trajectory C is reproduced by
+    T C_hat to TEMPORAL_TOL relative in the Frobenius norm; C_hat = T^T C
+    unless C came with its own coordinates in the current basis. Each sample
+    is kept once, as row i of a block that grows by doubling (sample i's
+    m x N coordinates, row-major); backends fit on views of it.
 
     A backend fits in ``precompute`` when ``_due`` says so and reports it with
     ``_fitted``; it pads its fitted model in ``_pad_model`` whenever the rows
@@ -425,7 +586,7 @@ class LearnedGenerator(Generator):
         self.rb_rom = rb_rom
         self.pending_threshold = max(1, int(pending_threshold))
         self._mus: list = []
-        self._time_basis = np.zeros((rb_rom.time_grid.num_nodes, 0))
+        self.temporal = TemporalBasis(rb_rom.time_grid, rb_rom.rhs)
         self._rows = np.empty((0, 0))  # the first len(_mus) rows are live
         self._pending = 0
         self._appended_only = True
@@ -447,7 +608,7 @@ class LearnedGenerator(Generator):
     @property
     def time_basis(self) -> np.ndarray:
         """The shared temporal basis T (K x m), read-only."""
-        view = self._time_basis.view()
+        view = self.temporal.matrix.view()
         view.flags.writeable = False
         return view
 
@@ -457,21 +618,21 @@ class LearnedGenerator(Generator):
 
     @property
     def _coordinate_shape(self) -> tuple:
-        return (self._time_basis.shape[1], self.rb_rom.dim)
+        return (self.temporal.dim, self.rb_rom.dim)
 
     def _targets(self) -> np.ndarray:
         return self._rows[: len(self._mus)]
 
     def extend(self, mu, trajectory: Optional[Trajectory] = None) -> None:
         """Store the trajectory at mu (the RB solution by default); a stored
-        sample at the same mu is replaced."""
+        sample at the same mu is replaced. A trajectory already projected
+        onto ``temporal`` is not projected again."""
         mu = self.rb_rom.box.validate(mu)
         if trajectory is None:
             trajectory = self.rb_rom.eval_state(mu)
-        coeffs = trajectory.coeffs
-        if coeffs.shape != (self.rb_rom.time_grid.num_nodes, self.rb_rom.dim):
+        if trajectory.grid.num_nodes != self.rb_rom.time_grid.num_nodes or trajectory.dim != self.rb_rom.dim:
             raise ValueError("trajectory does not match the reduced basis and time grid")
-        coords = self._grow_time_basis(coeffs)
+        coords = self._grow_time_basis(self.temporal.project(trajectory))
         n = len(self._mus)
         i = next((j for j, old_mu in enumerate(self._mus) if np.array_equal(old_mu, mu)), n)
         if i < n:
@@ -482,24 +643,30 @@ class LearnedGenerator(Generator):
         self._rows[i] = coords.ravel()
         self._pending += 1
 
-    def _grow_time_basis(self, coeffs: np.ndarray) -> np.ndarray:
-        """Append the leading left singular vectors of the part of coeffs that
-        T misses, until the remainder is at most TEMPORAL_TOL * ||coeffs||_F.
-        Returns T^T coeffs on the resulting T."""
-        basis = self._time_basis
-        coords = basis.T @ coeffs
-        missed = coeffs - basis @ coords
+    def _grow_time_basis(self, traj: SpannedTrajectory) -> np.ndarray:
+        """Append the leading left singular vectors of the part of C that T
+        misses, C - T C_hat, until the remainder is at most
+        TEMPORAL_TOL * ||C||_F. Returns the coordinates of C: C_hat when T did
+        not grow, else T^T C on the grown T. The singular vectors come from a
+        thin QR of the missed part and an SVD of its small triangular factor."""
+        coeffs = traj.coeffs
+        head = traj.head
         bound = TEMPORAL_TOL * np.linalg.norm(coeffs)
-        if np.linalg.norm(missed) <= bound:
-            return coords
-        vectors, values, _ = np.linalg.svd(missed, full_matrices=False)
+        tail_norm = 0.0 if traj.tail is None else np.linalg.norm(traj.tail)
+        if math.hypot(tail_norm, np.linalg.norm(head)) <= bound:
+            return traj.coordinates
+        missed = np.zeros_like(coeffs) if traj.tail is None else traj.tail.copy()
+        missed[0] = head
+        q, r = np.linalg.qr(missed)
+        vectors, values, _ = np.linalg.svd(r, full_matrices=False)
         tails = np.sqrt(np.cumsum(values[::-1] ** 2))[::-1]  # tails[r]: norm of values[r:]
-        identity = sp.identity(basis.shape[0], format="csr")
-        new, _ = orthonormalize(vectors[:, : int(np.sum(tails > bound))], identity, existing=basis)
+        identity = sp.identity(coeffs.shape[0], format="csr")
+        keep = int(np.sum(tails > bound))
+        new, _ = orthonormalize(q @ vectors[:, :keep], identity, existing=self.temporal.matrix)
         old_shape = self._coordinate_shape
-        self._time_basis = np.hstack([basis, new])
+        self.temporal = self.temporal.grown(new)
         self._pad(old_shape, self._coordinate_shape)
-        return self._time_basis.T @ coeffs
+        return self.temporal.matrix.T @ coeffs
 
     def _pad(self, old_shape: tuple, new_shape: tuple):
         """Zero-pad the live rows, and the fitted model through ``_pad_model``,

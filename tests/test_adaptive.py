@@ -174,6 +174,18 @@ class TestToleranceDrop:
                 traj = Trajectory(rom.time_grid, model.ml_generator.time_basis @ coeffs)
                 assert rom.est_output_for(traj, mu) <= new_eps
 
+    def test_drop_certifies_from_the_stored_coordinates(self, heat_problem):
+        model = make_adaptive_model(heat_problem, eps=1e-2, ml_backend="vkoga")
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            model.query(heat_problem.box.sample(rng))
+        temporal = model.ml_generator.temporal
+        stored = len(model.ml_generator.samples)
+        before = dict(temporal.counts)
+        apply_tolerance_drop(model, model.eps / 10)
+        assert temporal.counts["temporal"] == before["temporal"] + stored
+        assert temporal.counts["k_step"] == before["k_step"]
+
     def test_drop_must_tighten(self, heat_problem, model):
         with pytest.raises(ValueError):
             apply_tolerance_drop(model, model.eps * 2)
@@ -233,3 +245,23 @@ class TestCoarseCompression:
             mu = heat_problem.box.sample(rng)
             sig, rec = model.query(mu)
             assert l2_time_norm(fom.eval_output(mu) - sig) <= 1e-6
+
+
+class TestTemporalPath:
+    def test_rb_tier_estimates_go_temporal_once_the_store_saturates(self, small_reactive_problem):
+        problem = small_reactive_problem
+        model = make_adaptive_model(problem, eps=1e-3, ml_backend="vkoga")
+        rng = np.random.default_rng(5)
+        rb_queries = []  # (T grew, temporal estimates, step-by-step estimates)
+        for _ in range(30):
+            temporal = model.ml_generator.temporal
+            before, dim = dict(temporal.counts), temporal.dim
+            _, rec = model.query(problem.box.sample(rng))
+            temporal = model.ml_generator.temporal
+            if rec.tier == "rb":
+                counts = temporal.counts
+                rb_queries.append((temporal.dim > dim, counts["temporal"] - before["temporal"], counts["k_step"] - before["k_step"]))
+        saturated = [q for q in rb_queries[-10:] if not q[0]]
+        assert len(saturated) >= 8
+        assert all(q[1:] == (2, 0) for q in saturated)  # the ML and the RB estimate
+        assert all(q[2] <= 1 for q in rb_queries if q[0])

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,15 @@ class TestTimeGrid:
         assert grid.dt == pytest.approx(0.5)
         assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 5.0
         assert np.all(np.diff(grid.nodes) > 0)
+
+    def test_nodes_cached_read_only_and_equal_to_linspace(self):
+        grid = TimeGrid(5.0, 1001)
+        nodes = grid.nodes
+        assert grid.nodes is nodes and not nodes.flags.writeable
+        assert np.array_equal(nodes, np.linspace(0.0, 5.0, 1001))
+        copy = pickle.loads(pickle.dumps(grid))
+        assert copy == grid and not copy.nodes.flags.writeable
+        assert np.array_equal(copy.nodes, nodes)
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):

@@ -57,6 +57,18 @@ class TestGramSchmidt:
         assert out.shape[1] == 1
         assert np.allclose(existing.T @ out, 0.0, atol=1e-12)
 
+    def test_cancellation_inside_the_batch_keeps_orthogonality(self):
+        # the second column cancels against the first to 1e-9: what the first
+        # pass left along the existing set must not be amplified into it
+        g = random_spd_gram(40, 4)
+        rng = np.random.default_rng(5)
+        existing = gram_schmidt(rng.normal(size=(40, 20)), g)
+        a, b = rng.normal(size=(2, 40))
+        out = gram_schmidt(np.column_stack([a, a + 1e-9 * b]), g, existing=existing)
+        full = np.hstack([existing, out])
+        assert out.shape[1] == 2
+        assert np.max(np.abs(full.T @ (g @ full) - np.eye(full.shape[1]))) <= 1e-12
+
 
 class TestIncrementalHapod:
     def test_single_vector(self):

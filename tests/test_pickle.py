@@ -69,6 +69,22 @@ def test_fitted_learned_generators_and_models(rb_setup, make):
             assert copy.est_output(mu) == model.est_output(mu)
 
 
+def test_temporal_estimates_survive_pickling(rb_setup):
+    """A kernel model's predictions keep their temporal coordinates, and the
+    estimate in them is bit-identical after a round trip."""
+    rom, mus = rb_setup
+    gen = VkogaGenerator(rom)
+    for mu in mus:
+        gen.extend(mu)
+    model = gen.precompute(force=True)
+    copy = roundtrip(model)
+    assert copy.temporal.saves_work() and copy.temporal.dim == gen.temporal.dim
+    for mu in mus + [rom.box.center]:
+        expected = rom.est_output_for(model.eval_state(mu), mu, gen.temporal)
+        assert copy.rb_rom.est_output_for(copy.eval_state(mu), mu, copy.temporal) == expected
+    assert copy.temporal.counts["temporal"] == gen.temporal.counts["temporal"]
+
+
 def test_pickles_carry_live_rows_only(rb_setup):
     """The doubling row blocks of the sample store and of the kernel model's
     residuals pickle their live rows, not their spare capacity."""

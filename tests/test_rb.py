@@ -7,21 +7,25 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import certrom.rb
 from certrom import (
     AffineFunctional,
     AffineOperator,
+    DnnGenerator,
     FomProblem,
     FullOrderModel,
     NumericalError,
     OperatorComponent,
     ParameterBox,
     TimeGrid,
+    TrainConfig,
     Trajectory,
+    VkogaGenerator,
     assemble_rb_rom,
     gram_schmidt,
     l2_time_norm,
 )
-from certrom.rb import RieszSolver
+from certrom.rb import TEMPORAL_TOL, RieszSolver, SpannedTrajectory, TemporalBasis
 
 from conftest import scalar_problem
 from oracles import rb_residual_bruteforce, riesz_representative
@@ -351,6 +355,13 @@ def perturbation_cases(heat_problem, small_reactive_problem):
     return cases
 
 
+def temporal_basis_spanning(rom, coeffs, rng, extra=3):
+    """A temporal basis whose span holds the columns of coeffs and ``extra``
+    random directions."""
+    modes = np.linalg.qr(np.hstack([coeffs, rng.normal(size=(coeffs.shape[0], extra))]))[0]
+    return TemporalBasis(rom.time_grid, rom.rhs).grown(modes)
+
+
 class TestOutputBoundProperty:
     @pytest.mark.parametrize("case", ["heat_square", "reactive_flow"])
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -372,3 +383,123 @@ class TestOutputBoundProperty:
         traj = Trajectory(rom.time_grid, coeffs)
         err = l2_time_norm(fom.eval_output(mu) - rom.output_of(traj))
         assert err <= rom.est_output_for(traj, mu)
+
+    @pytest.mark.parametrize("case", ["heat_square", "reactive_flow"])
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        unit=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        log_size=st.floats(-8.0, 0.0),
+        log_tail=st.floats(-16.0, -8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_with_a_temporal_basis(self, perturbation_cases, case, unit, log_size, log_tail, seed):
+        # T spans the Galerkin trajectory and three random modes; the
+        # perturbation has a part in span T that vanishes at t = 0 and a tail
+        # outside span T of relative size 1e-16 to 1e-8, so the estimate takes
+        # the temporal path with the tail term below TEMPORAL_TOL and the
+        # step-by-step path above it
+        fom, rom = perturbation_cases[case]
+        box = rom.box
+        mu = box.lower + np.array(unit) * (box.upper - box.lower)
+        coeffs = rom.eval_state(mu).coeffs
+        rng = np.random.default_rng(seed)
+        temporal = temporal_basis_spanning(rom, coeffs, rng)
+        first = temporal.matrix[0]
+        inside = rng.normal(size=(temporal.dim, rom.dim))
+        inside = temporal.matrix @ (inside - np.outer(first, first @ inside) / (first @ first))
+        outside = rng.normal(size=coeffs.shape)
+        outside -= temporal.matrix @ (temporal.matrix.T @ outside)
+        scale = np.linalg.norm(coeffs)
+        noise = scale * (10.0**log_size * inside / np.linalg.norm(inside) + 10.0**log_tail * outside / np.linalg.norm(outside))
+        noise[0] = 0.0  # row 0 keeps the exact initial datum
+        traj = Trajectory(rom.time_grid, coeffs + noise)
+        err = l2_time_norm(fom.eval_output(mu) - rom.output_of(traj))
+        assert err <= rom.est_output_for(traj, mu, temporal)
+
+
+class TestTemporalEstimate:
+    @pytest.mark.parametrize("case", ["heat_square", "reactive_flow"])
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        unit=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        m=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_step_by_step_residual(self, perturbation_cases, case, unit, m, seed):
+        _, rom = perturbation_cases[case]
+        box = rom.box
+        mu = box.lower + np.array(unit) * (box.upper - box.lower)
+        rng = np.random.default_rng(seed)
+        modes = np.linalg.qr(rng.normal(size=(rom.time_grid.num_nodes, m)))[0]
+        temporal = TemporalBasis(rom.time_grid, rom.rhs).grown(modes)
+        # random coordinates in [T | e_0]: C_hat and a random initial row
+        traj = SpannedTrajectory(temporal, rng.normal(size=(m, rom.dim)), initial=rng.normal(size=rom.dim))
+        temporal_estimate = rom.est_state_for(traj, mu, temporal)
+        assert temporal.counts == {"temporal": 1, "k_step": 0, "refreshes": 1}
+        assert temporal_estimate == pytest.approx(rom.est_state_for(traj, mu), rel=1e-10)
+
+    def test_tail_term_and_fallback(self, perturbation_cases):
+        _, rom = perturbation_cases["reactive_flow"]
+        mu = rom.box.center
+        rng = np.random.default_rng(9)
+        coeffs = rom.eval_state(mu).coeffs
+        temporal = temporal_basis_spanning(rom, coeffs, rng)
+        outside = rng.normal(size=coeffs.shape)
+        outside -= temporal.matrix @ (temporal.matrix.T @ outside)
+        outside[0] = 0.0
+        for size, path in ((1e-2 * TEMPORAL_TOL, "temporal"), (1e2 * TEMPORAL_TOL, "k_step")):
+            tail = size * np.linalg.norm(coeffs) / np.linalg.norm(outside) * outside
+            traj = Trajectory(rom.time_grid, coeffs + tail)
+            before = dict(temporal.counts)
+            estimate = rom.est_state_for(traj, mu, temporal)
+            assert temporal.counts[path] == before[path] + 1
+            assert estimate == pytest.approx(rom.est_state_for(traj, mu), rel=1e-6)
+
+    def test_exact_reproduction_takes_the_step_path(self, heat_problem):
+        # the residual is at rounding level, so even the rounding tail of the
+        # projection is no small share of it
+        mu = np.array([1.4, 0.8])
+        rom = assemble_rb_rom(heat_problem, snapshot_basis(heat_problem, [mu]))
+        traj = rom.eval_state(mu)
+        temporal = temporal_basis_spanning(rom, traj.coeffs, np.random.default_rng(11))
+        assert rom.est_state_for(traj, mu, temporal) == rom.est_state_for(traj, mu)
+        assert temporal.counts["k_step"] == 1 and temporal.counts["temporal"] == 0
+
+    @pytest.mark.parametrize("size", [1e-6, 1e-3, 1.0])
+    def test_tail_term_bounds_the_tail_residual(self, perturbation_cases, monkeypatch, size):
+        # tolerances that admit any tail: the tail term alone must cover the
+        # difference the tail makes to the residual
+        monkeypatch.setattr(certrom.rb, "TEMPORAL_TOL", np.inf)
+        monkeypatch.setattr(certrom.rb, "TAIL_SHARE", np.inf)
+        _, rom = perturbation_cases["heat_square"]
+        mu = rom.box.center
+        rng = np.random.default_rng(10)
+        coeffs = rom.eval_state(mu).coeffs
+        temporal = temporal_basis_spanning(rom, coeffs, rng)
+        tail = rng.normal(size=coeffs.shape)
+        tail -= temporal.matrix @ (temporal.matrix.T @ tail)
+        tail[0] = 0.0
+        traj = Trajectory(rom.time_grid, coeffs + size * np.linalg.norm(coeffs) / np.linalg.norm(tail) * tail)
+        assert rom.est_state_for(traj, mu) <= rom.est_state_for(traj, mu, temporal)
+        assert temporal.counts["temporal"] == 1
+
+    def test_random_trajectory_and_network_prediction_take_the_step_path(self, heat_problem):
+        rom = assemble_rb_rom(heat_problem, snapshot_basis(heat_problem, [[0.7, 1.8], [1.9, 0.6]])[:, :4])
+        rng = np.random.default_rng(12)
+        mus = [heat_problem.box.sample(rng) for _ in range(3)]
+        store = VkogaGenerator(rom)
+        network = DnnGenerator(rom, hidden=(8,), config=TrainConfig(seed=0, max_epochs=3))
+        for mu in mus:
+            store.extend(mu)
+            network.extend(mu)
+        assert 0 < store.temporal.dim and store.temporal.saves_work()
+        coeffs = rng.normal(size=(heat_problem.time_grid.num_nodes, rom.dim))
+        coeffs[0] = rom.init_coeffs
+        cases = (
+            (Trajectory(heat_problem.time_grid, coeffs), store.temporal),
+            (network.precompute(force=True).eval_state(mus[0]), network.temporal),
+        )
+        for traj, temporal in cases:
+            estimate = rom.est_output_for(traj, mus[0], temporal)
+            assert temporal.counts["k_step"] == 1 and temporal.counts["temporal"] == 0
+            assert estimate == rom.est_output_for(traj, mus[0])
