@@ -139,11 +139,16 @@ class AdaptiveModel:
         it when due; the time counts as learned-model build time."""
         tic = time.perf_counter()
         self.ml_generator.extend(mu, trajectory=traj)
-        before = self.ml_generator.trainings
-        self.ml_rom = self.ml_generator.precompute()
+        self._refit()
         rec.t_ml_build += time.perf_counter() - tic
+
+    def _refit(self, force: bool = False):
+        """Refit the learned tier when due (or forced), logging each fit as an
+        ``ml_train`` event with the generator's report of its work."""
+        before = self.ml_generator.trainings
+        self.ml_rom = self.ml_generator.precompute(force)
         if self.ml_generator.trainings > before:
-            self.events.append({"kind": "ml_train", "index": len(self.records)})
+            self.events.append({"kind": "ml_train", "index": len(self.records), **self.ml_generator.last_fit})
 
     def _package(self, traj: Trajectory, as_state: bool):
         if as_state:
@@ -258,5 +263,8 @@ def apply_tolerance_drop(model: AdaptiveModel, new_eps: float) -> int:
         {"kind": "eps_drop", "index": len(model.records), "eps": new_eps, "dropped": dropped}
     )
     if dropped:
-        model.ml_rom = gen.precompute(force=True) if gen.samples else gen.current_model()
+        if gen.samples:
+            model._refit(force=True)
+        else:
+            model.ml_rom = gen.current_model()
     return dropped

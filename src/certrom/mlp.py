@@ -1,16 +1,26 @@
 """Feedforward network trained from scratch (backprop, Adam, step LR schedule,
 early stopping) predicting reduced coefficients at arbitrary (mu, t) inputs,
-plus the certified model/generator pair sharing the RB-ROM's estimator."""
+plus the certified model/generator pair sharing the RB-ROM's estimator.
+
+Training runs in float32 on one workspace per `mlp_train` call: parameters,
+gradient and Adam moments are flat vectors, and every step writes into
+buffers sized once to the batch. The trained parameters come back as float64,
+and the network predicts in float64; the certification does not depend on the
+training precision, since the estimator bounds whatever trajectory it gets."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Trajectory
+from .core import NumericalError, Trajectory
 from .rb import LearnedGenerator, LearnedRom, RbRom
+
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -32,6 +42,27 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
+    def flat(self) -> np.ndarray:
+        """All weights, then all biases, as one vector (the layout of `layer_views`)."""
+        return np.concatenate([w.ravel() for w in self.weights] + [b.ravel() for b in self.biases])
+
+
+def layer_views(flat: np.ndarray, sizes) -> MlpParams:
+    """Parameters whose weights and biases are views into one flat vector:
+    every weight matrix (row-major) in layer order, then every bias."""
+    if flat.shape != (_num_parameters(sizes),):
+        raise ValueError("flat vector does not match the layer sizes")
+    shapes = [(n_out, n_in) for n_in, n_out in zip(sizes[:-1], sizes[1:])] + [(n,) for n in sizes[1:]]
+    views, start = [], 0
+    for shape in shapes:
+        views.append(flat[start : start + math.prod(shape)].reshape(shape))
+        start += math.prod(shape)
+    return MlpParams(views[: len(sizes) - 1], views[len(sizes) - 1 :])
+
+
+def _num_parameters(sizes) -> int:
+    return sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+
 
 def init_params(sizes, rng: np.random.Generator) -> MlpParams:
     """Uniform fan-in initialization: U(-s, s) with s = sqrt(1 / fan_in)."""
@@ -44,10 +75,7 @@ def init_params(sizes, rng: np.random.Generator) -> MlpParams:
 
 
 def zero_params(sizes) -> MlpParams:
-    return MlpParams(
-        [np.zeros((n_out, n_in)) for n_in, n_out in zip(sizes[:-1], sizes[1:])],
-        [np.zeros(n_out) for n_out in sizes[1:]],
-    )
+    return layer_views(np.zeros(_num_parameters(sizes)), sizes)
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -65,62 +93,102 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return a[0] if single else a
 
 
+class _Workspace:
+    """One network's flat parameter and gradient vectors (`params` and `grads`
+    are per-layer views into them) and the input, activation, rectifier-mask,
+    delta and target buffers of batches of up to `rows` rows; a shorter batch
+    uses their leading rows."""
+
+    def __init__(self, sizes, rows: int, dtype):
+        count = _num_parameters(sizes)
+        self.theta = np.zeros(count, dtype)
+        self.grad = np.zeros(count, dtype)
+        self.params = layer_views(self.theta, sizes)
+        self.grads = layer_views(self.grad, sizes)
+        self.acts = [np.empty((rows, n), dtype) for n in sizes]  # acts[0] is the input
+        self.masks = [np.empty((rows, n), bool) for n in sizes[1:-1]]
+        self.deltas = [np.empty((rows, n), dtype) for n in sizes[1:]]
+        self.target = np.empty((rows, sizes[-1]), dtype)
+
+    def backprop(self, rows: int):
+        """Gradient of the mean squared Euclidean output error over the first
+        `rows` input and target rows, written into `grad` (reverse mode; the
+        rectifier subgradient at 0 is taken as 0). Leaves the network's output
+        in ``acts[-1][:rows]``."""
+        acts = [a[:rows] for a in self.acts]
+        weights, last = self.params.weights, len(self.params.weights) - 1
+        for i, (w, b) in enumerate(zip(weights, self.params.biases)):
+            np.matmul(acts[i], w.T, out=acts[i + 1])
+            acts[i + 1] += b
+            if i < last:
+                np.maximum(acts[i + 1], 0.0, out=acts[i + 1])
+        delta = self.deltas[last][:rows]
+        np.subtract(acts[-1], self.target[:rows], out=delta)
+        delta *= 2.0
+        delta /= rows
+        for i in range(last, -1, -1):
+            np.matmul(delta.T, acts[i], out=self.grads.weights[i])
+            np.sum(delta, axis=0, out=self.grads.biases[i])
+            if i > 0:
+                below, mask = self.deltas[i - 1][:rows], self.masks[i - 1][:rows]
+                np.matmul(delta, weights[i], out=below)
+                np.greater(acts[i], 0.0, out=mask)
+                np.multiply(below, mask, out=below)
+                delta = below
+
+
 def mlp_loss_grad(params: MlpParams, x: np.ndarray, y: np.ndarray):
     """Mean squared Euclidean output error over the batch and its gradients
-    (reverse-mode; the rectifier subgradient at 0 is taken as 0)."""
+    (reverse-mode; the rectifier subgradient at 0 is taken as 0), in float64
+    through the training step's kernel."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    batch = x.shape[0]
-    last = len(params.weights) - 1
-    activations = [x]
-    a = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ w.T + b
-        if i < last:
-            a = np.maximum(a, 0.0)
-        activations.append(a)
-    err = activations[-1] - y
-    loss = float(np.mean(np.sum(err**2, axis=1)))
-
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.weights)
-    delta = 2.0 * err / batch
-    for i in range(last, -1, -1):
-        grad_w[i] = delta.T @ activations[i]
-        grad_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ params.weights[i]) * (activations[i] > 0.0)
-    return loss, MlpParams(grad_w, grad_b)
+    ws = _Workspace(params.sizes, x.shape[0], np.float64)
+    ws.theta[:] = params.flat()
+    ws.acts[0][:] = x
+    ws.target[:] = y
+    ws.backprop(x.shape[0])
+    err = ws.acts[-1] - y
+    return float(np.mean(np.sum(err**2, axis=1))), ws.grads
 
 
-@dataclass
 class AdamState:
-    m: MlpParams
-    v: MlpParams
-    step: int = 0
+    """Flat first and second moment vectors and step count of one Adam run,
+    with two scratch vectors for the update."""
+
+    def __init__(self, size: int, dtype=np.float64):
+        self.m = np.zeros(size, dtype)
+        self.v = np.zeros(size, dtype)
+        self.step = 0
+        self._scratch = np.empty((2, size), dtype)
 
 
-def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float,
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected Adam update; returns fresh (params, state)."""
-    state = AdamState(state.m.copy(), state.v.copy(), state.step + 1)
-    out = params.copy()
+    """One bias-corrected Adam update of the flat vector `params` and of
+    `state`, in place. Elementwise, in the operation order of
+    m <- beta1 m + (1 - beta1) g, v <- beta2 v + (1 - beta2) g^2,
+    p <- p - lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)."""
+    state.step += 1
     t = state.step
-    for arrays in (
-        zip(out.weights, grads.weights, state.m.weights, state.v.weights),
-        zip(out.biases, grads.biases, state.m.biases, state.v.biases),
-    ):
-        for p, g, m, v in arrays:
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g**2
-            m_hat = m / (1.0 - beta1**t)
-            v_hat = v / (1.0 - beta2**t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return out, state
+    m, v = state.m, state.v
+    step, denom = state._scratch
+    m *= beta1
+    np.multiply(grads, 1.0 - beta1, out=step)
+    m += step
+    v *= beta2
+    np.multiply(grads, grads, out=step)
+    step *= 1.0 - beta2
+    v += step
+    np.divide(m, 1.0 - beta1**t, out=step)
+    np.divide(v, 1.0 - beta2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step *= lr
+    step /= denom
+    params -= step
 
 
 class EarlyStopper:
@@ -155,14 +223,31 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation fraction must lie in (0, 1)")
-        if min(self.learning_rate, self.batch_size, self.max_epochs, self.restarts) <= 0:
-            raise ValueError("training configuration values must be positive")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError("learning-rate decay must lie in (0, 1]")
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("lr_every", 1), ("restarts", 1), ("patience", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+class TrainResult(NamedTuple):
+    """Best-validation parameters (float64), the epochs run over all
+    restarts, and the validation loss of the returned parameters."""
+
+    params: MlpParams
+    epochs: int
+    val_loss: float
 
 
 def mlp_train(x: np.ndarray, y: np.ndarray, sizes, config: TrainConfig,
-              warm_start: Optional[MlpParams] = None) -> MlpParams:
-    """Mini-batch Adam with step LR schedule and early stopping on a held-out
-    validation split; returns the best-validation parameters over all restarts."""
+              warm_start: Optional[MlpParams] = None) -> TrainResult:
+    """Mini-batch Adam in float32 with step LR schedule and early stopping on
+    a held-out validation split; returns the best-validation parameters over
+    all restarts. The validation loss is that of the float64 prediction.
+    Raises NumericalError when no restart reaches a finite validation loss."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n = x.shape[0]
@@ -170,37 +255,45 @@ def mlp_train(x: np.ndarray, y: np.ndarray, sizes, config: TrainConfig,
     if n - n_val < 1:
         raise ValueError("insufficient training data")
     rng = np.random.default_rng(config.seed)
+    ws = _Workspace(sizes, min(config.batch_size, n - n_val), TRAIN_DTYPE)
 
-    best_params, best_val = None, np.inf
+    best, best_val, epochs = None, np.inf, 0
     for restart in range(config.restarts):
         perm = rng.permutation(n)
         val_idx, train_idx = perm[:n_val], perm[n_val:]
-        x_tr, y_tr = x[train_idx], y[train_idx]
+        x_tr, y_tr = x[train_idx].astype(TRAIN_DTYPE), y[train_idx].astype(TRAIN_DTYPE)
         x_val, y_val = x[val_idx], y[val_idx]
 
         if warm_start is not None and restart == 0 and warm_start.sizes == list(sizes):
-            params = warm_start.copy()
+            ws.theta[:] = warm_start.flat()
         else:
-            params = init_params(sizes, rng)
-        state = AdamState(zero_params(sizes), zero_params(sizes))
+            ws.theta[:] = init_params(sizes, rng).flat()
+        state = AdamState(ws.theta.size, TRAIN_DTYPE)
         stopper = EarlyStopper(config.patience)
-        run_best, run_best_val = params.copy(), _loss(params, x_val, y_val)
+        run_best, run_best_val = ws.theta.copy(), _loss(ws.params, x_val, y_val)
 
         for epoch in range(config.max_epochs):
             lr = config.learning_rate * config.lr_decay ** (epoch // config.lr_every)
             order = rng.permutation(len(train_idx))
             for start in range(0, len(order), config.batch_size):
                 batch = order[start : start + config.batch_size]
-                _, grads = mlp_loss_grad(params, x_tr[batch], y_tr[batch])
-                params, state = adam_step(params, grads, state, lr)
-            val = _loss(params, x_val, y_val)
+                rows = len(batch)
+                np.take(x_tr, batch, axis=0, out=ws.acts[0][:rows])
+                np.take(y_tr, batch, axis=0, out=ws.target[:rows])
+                ws.backprop(rows)
+                adam_step(ws.theta, ws.grad, state, lr)
+            epochs += 1
+            val = _loss(ws.params, x_val, y_val)
             if val < run_best_val:
-                run_best_val, run_best = val, params.copy()
+                run_best_val = val
+                np.copyto(run_best, ws.theta)
             if stopper.update(val):
                 break
         if run_best_val < best_val:
-            best_val, best_params = run_best_val, run_best
-    return best_params
+            best_val, best = run_best_val, run_best
+    if best is None:
+        raise NumericalError("network training reached no finite validation loss")
+    return TrainResult(layer_views(best.astype(float), sizes), epochs, best_val)
 
 
 def _loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
@@ -280,8 +373,9 @@ class DnnGenerator(LearnedGenerator):
             xs, ys = self._training_arrays()
             sizes = [xs.shape[1], *self.hidden, self.rb_rom.dim]
             cfg = replace(self.config, seed=self.config.seed + self.trainings)
-            self.params = mlp_train(xs, ys, sizes, cfg, warm_start=self.params)
-            self._fitted()
+            result = mlp_train(xs, ys, sizes, cfg, warm_start=self.params)
+            self.params = result.params
+            self._fitted(epochs=result.epochs, val_loss=result.val_loss)
         return self.current_model()
 
     def _pad_model(self, old_shape: tuple, new_shape: tuple):

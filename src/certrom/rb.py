@@ -576,10 +576,11 @@ class LearnedGenerator(Generator):
     m x N coordinates, row-major); backends fit on views of it.
 
     A backend fits in ``precompute`` when ``_due`` says so and reports it with
-    ``_fitted``; it pads its fitted model in ``_pad_model`` whenever the rows
-    are padded (new temporal modes in ``extend``, new basis columns in
-    ``prolong``) and drops it in ``_forget_model``. ``_appended_only`` tells
-    whether every sample since the last fit was appended, none replaced.
+    ``_fitted``, which records the fit in ``last_fit``; it pads its fitted
+    model in ``_pad_model`` whenever the rows are padded (new temporal modes
+    in ``extend``, new basis columns in ``prolong``) and drops it in
+    ``_forget_model``. ``_appended_only`` tells whether every sample since
+    the last fit was appended, none replaced.
     """
 
     def __init__(self, rb_rom: RbRom, pending_threshold: int):
@@ -591,6 +592,7 @@ class LearnedGenerator(Generator):
         self._pending = 0
         self._appended_only = True
         self.trainings = 0
+        self.last_fit: dict = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -708,10 +710,13 @@ class LearnedGenerator(Generator):
             raise ValueError("empty training set")
         return self._pending > 0 and (force or self._pending >= self.pending_threshold)
 
-    def _fitted(self):
+    def _fitted(self, **report):
+        """Record a fit; ``last_fit`` holds the samples it used and the
+        backend's ``report`` (JSON-serializable values)."""
         self._pending = 0
         self._appended_only = True
         self.trainings += 1
+        self.last_fit = {"samples": len(self._mus), **report}
 
     def prolong(self, new_rb_rom: RbRom):
         """Copy of the generator over an extended (nested) reduced basis, with

@@ -3,7 +3,8 @@ slow or redundant by design and are not part of the certrom API."""
 
 import numpy as np
 
-from certrom import FomProblem, RieszSolver, Trajectory
+from certrom import FomProblem, MlpParams, RieszSolver, Trajectory
+from certrom.mlp import EarlyStopper, init_params
 
 
 def kernel_eval(x, y, gamma: float) -> float:
@@ -39,3 +40,104 @@ def rb_residual_bruteforce(problem: FomProblem, basis_matrix: np.ndarray, traj: 
         residual = b - p.mass @ (full[j + 1] - full[j]) / dt - op @ full[j + 1]
         norms[j] = riesz.dual_norm(residual)
     return norms
+
+
+def mlp_loss_grad_allocating(params: MlpParams, x: np.ndarray, y: np.ndarray):
+    """Mean squared output error and its reverse-mode gradient, with a fresh
+    array for every intermediate, in the dtype the inputs and parameters
+    promote to. The reference for the trainer's in-place kernel."""
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    batch = x.shape[0]
+    last = len(params.weights) - 1
+    activations = [x]
+    a = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ w.T + b
+        if i < last:
+            a = np.maximum(a, 0.0)
+        activations.append(a)
+    err = activations[-1] - y
+    loss = float(np.mean(np.sum(err**2, axis=1)))
+    grad_w = [None] * len(params.weights)
+    grad_b = [None] * len(params.weights)
+    delta = 2.0 * err / batch
+    for i in range(last, -1, -1):
+        grad_w[i] = delta.T @ activations[i]
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ params.weights[i]) * (activations[i] > 0.0)
+    return loss, MlpParams(grad_w, grad_b)
+
+
+def adam_step_per_array(params: MlpParams, grads: MlpParams, m: MlpParams, v: MlpParams, step: int,
+                        lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """One bias-corrected Adam update array by array, on copies; returns the
+    new (params, m, v). Step is the count after this update."""
+    params, m, v = params.copy(), m.copy(), v.copy()
+    for arrays in (
+        zip(params.weights, grads.weights, m.weights, v.weights),
+        zip(params.biases, grads.biases, m.biases, v.biases),
+    ):
+        for p, g, m_i, v_i in arrays:
+            m_i *= beta1
+            m_i += (1.0 - beta1) * g
+            v_i *= beta2
+            v_i += (1.0 - beta2) * g**2
+            m_hat = m_i / (1.0 - beta1**step)
+            v_hat = v_i / (1.0 - beta2**step)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params, m, v
+
+
+def mlp_train_allocating(x, y, sizes, config, warm_start=None, dtype=np.float32):
+    """Mini-batch Adam in `dtype` through the two functions above, with the
+    library trainer's random stream, schedule, validation (float64 prediction
+    of the `dtype` parameters) and early stopping. Returns the best-validation
+    parameters in `dtype`, the epochs run and their validation loss."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    n = x.shape[0]
+    n_val = max(1, int(round(config.validation_fraction * n)))
+    rng = np.random.default_rng(config.seed)
+
+    def cast(params):
+        return MlpParams([w.astype(dtype) for w in params.weights], [b.astype(dtype) for b in params.biases])
+
+    def val_loss(params, xv, yv):
+        a = xv
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            a = a @ w.T + b
+            if i < len(params.weights) - 1:
+                a = np.maximum(a, 0.0)
+        return float(np.mean(np.sum((a - yv) ** 2, axis=1)))
+
+    best, best_val, epochs = None, np.inf, 0
+    for restart in range(config.restarts):
+        perm = rng.permutation(n)
+        val_idx, train_idx = perm[:n_val], perm[n_val:]
+        x_tr, y_tr = x[train_idx].astype(dtype), y[train_idx].astype(dtype)
+        if warm_start is not None and restart == 0 and warm_start.sizes == list(sizes):
+            params = cast(warm_start)
+        else:
+            params = cast(init_params(sizes, rng))
+        zeros = MlpParams([np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases])
+        m, v, step = zeros, zeros.copy(), 0
+        stopper = EarlyStopper(config.patience)
+        run_best, run_best_val = params.copy(), val_loss(params, x[val_idx], y[val_idx])
+        for epoch in range(config.max_epochs):
+            lr = config.learning_rate * config.lr_decay ** (epoch // config.lr_every)
+            order = rng.permutation(len(train_idx))
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                _, grads = mlp_loss_grad_allocating(params, x_tr[batch], y_tr[batch])
+                step += 1
+                params, m, v = adam_step_per_array(params, grads, m, v, step, lr)
+            epochs += 1
+            val = val_loss(params, x[val_idx], y[val_idx])
+            if val < run_best_val:
+                run_best_val, run_best = val, params.copy()
+            if stopper.update(val):
+                break
+        if run_best_val < best_val:
+            best_val, best = run_best_val, run_best
+    return best, epochs, best_val

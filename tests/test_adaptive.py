@@ -186,6 +186,19 @@ class TestToleranceDrop:
         assert temporal.counts["temporal"] == before["temporal"] + stored
         assert temporal.counts["k_step"] == before["k_step"]
 
+    def test_refit_after_a_drop_is_logged(self, heat_problem):
+        for model in learned_backend_models(heat_problem):
+            rng = np.random.default_rng(23)
+            for _ in range(10):
+                model.query(heat_problem.box.sample(rng))
+            before = model.ml_generator.trainings
+            assert apply_tolerance_drop(model, model.eps / 10) > 0
+            assert model.ml_generator.samples and model.ml_generator.trainings == before + 1
+            drop, refit = model.events[-2:]
+            assert drop["kind"] == "eps_drop" and refit["kind"] == "ml_train"
+            assert refit["samples"] == len(model.ml_generator.samples)
+            assert sum(e["kind"] == "ml_train" for e in model.events) == model.ml_generator.trainings
+
     def test_drop_must_tighten(self, heat_problem, model):
         with pytest.raises(ValueError):
             apply_tolerance_drop(model, model.eps * 2)

@@ -120,6 +120,29 @@ class TestExportTelemetry:
         assert loaded["tier_counts"] == counts
 
 
+    @pytest.mark.parametrize("backend", ["vkoga", "mlp"])
+    def test_training_events_record_the_refit_work(self, tmp_path, heat_problem, backend):
+        model = make_adaptive_model(
+            heat_problem, eps=1e-2, ml_backend=backend, retrain="batch", batch_threshold=2, hidden=(8,)
+        )
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            model.query(heat_problem.box.sample(rng))
+        trainings = [e for e in model.events if e["kind"] == "ml_train"]
+        assert trainings
+        assert [e["samples"] for e in trainings] == sorted({e["samples"] for e in trainings})
+        assert trainings[-1]["samples"] <= len(model.ml_generator.samples)
+        for event in trainings:
+            if backend == "mlp":
+                assert event.keys() == {"kind", "index", "samples", "epochs", "val_loss"}
+                assert 1 <= event["epochs"] <= 100 and np.isfinite(event["val_loss"])
+            else:
+                assert event.keys() == {"kind", "index", "samples"}
+        export_telemetry(model.records, tmp_path, events=model.events)
+        loaded = json.loads((tmp_path / "summary.json").read_text())
+        assert [e for e in loaded["events"] if e["kind"] == "ml_train"] == trainings
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
         "problem": {"kind": "heat_square", "nx": 6, "ny": 6, "num_time_nodes": 20},

@@ -14,11 +14,13 @@ from certrom import (
     mlp_loss_grad,
     mlp_train,
 )
-from certrom.mlp import AdamState, EarlyStopper, init_params, zero_params
+from certrom.core import NumericalError
+from certrom.mlp import AdamState, EarlyStopper, init_params, layer_views, zero_params
+from oracles import mlp_loss_grad_allocating, mlp_train_allocating
 
 
 def flat(params):
-    return np.concatenate([w.ravel() for w in params.weights] + [b.ravel() for b in params.biases])
+    return params.flat()
 
 
 class TestForward:
@@ -99,34 +101,31 @@ class TestLossGrad:
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         rng = np.random.default_rng(5)
-        params = init_params([2, 3], rng)
-        state = AdamState(zero_params([2, 3]), zero_params([2, 3]))
-        out, state2 = adam_step(params, zero_params([2, 3]), state, lr=0.1)
-        assert np.allclose(flat(out), flat(params))
-        assert state2.step == 1
+        params = flat(init_params([2, 3], rng))
+        before = params.copy()
+        state = AdamState(params.size)
+        adam_step(params, np.zeros(params.size), state, lr=0.1)
+        assert np.allclose(params, before)
+        assert state.step == 1
 
     def test_first_step_closed_form(self):
         rng = np.random.default_rng(6)
         sizes = [2, 2]
-        params = init_params(sizes, rng)
-        grads = init_params(sizes, rng)
-        state = AdamState(zero_params(sizes), zero_params(sizes))
-        lr = 0.01
-        out, _ = adam_step(params, grads, state, lr)
-        g = flat(grads)
-        expected = flat(params) - lr * g / (np.abs(g) + 1e-8)
-        assert np.allclose(flat(out), expected, atol=1e-12)
+        params = flat(init_params(sizes, rng))
+        g = flat(init_params(sizes, rng))
+        expected = params - 0.01 * g / (np.abs(g) + 1e-8)
+        adam_step(params, g, AdamState(params.size), 0.01)
+        assert np.allclose(params, expected, atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         sizes = [3, 3]
-        params = init_params(sizes, rng)
-        grads = init_params(sizes, rng)
-        s0 = AdamState(zero_params(sizes), zero_params(sizes))
-        a, _ = adam_step(params, grads, s0, 0.05)
-        s1 = AdamState(zero_params(sizes), zero_params(sizes))
-        b, _ = adam_step(params, grads, s1, 0.05)
-        assert np.array_equal(flat(a), flat(b))
+        a = flat(init_params(sizes, rng))
+        grads = flat(init_params(sizes, rng))
+        b = a.copy()
+        adam_step(a, grads, AdamState(a.size), 0.05)
+        adam_step(b, grads, AdamState(b.size), 0.05)
+        assert np.array_equal(a, b)
 
 
 class TestEarlyStopper:
@@ -150,7 +149,7 @@ class TestTraining:
         x = rng.uniform(-1, 1, size=(400, 3))
         y = np.tile([0.3, -0.7], (400, 1))
         cfg = TrainConfig(seed=1, max_epochs=200, batch_size=16, lr_decay=0.8, lr_every=20)
-        params = mlp_train(x, y, [3, 16, 2], cfg)
+        params = mlp_train(x, y, [3, 16, 2], cfg).params
         loss = np.mean(np.sum((mlp_forward(params, x) - y) ** 2, axis=1))
         assert loss <= 1e-6
 
@@ -161,11 +160,90 @@ class TestTraining:
         cfg = TrainConfig(seed=5, max_epochs=10)
         a = mlp_train(x, y, [2, 8, 2], cfg)
         b = mlp_train(x, y, [2, 8, 2], cfg)
-        assert np.array_equal(flat(a), flat(b))
+        assert np.array_equal(flat(a.params), flat(b.params))
+        assert (a.epochs, a.val_loss) == (b.epochs, b.val_loss)
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="insufficient"):
             mlp_train(np.zeros((1, 2)), np.zeros((1, 1)), [2, 1], TrainConfig())
+
+    @pytest.mark.parametrize("target", [1e200, np.nan])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_finite_validation_loss_raises(self, target):
+        x = np.random.default_rng(12).uniform(-1, 1, size=(40, 2))
+        with pytest.raises(NumericalError, match="finite validation loss"):
+            mlp_train(x, np.full((40, 1), target), [2, 4, 1], TrainConfig(max_epochs=2, restarts=2))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lr_every", 0),
+        ("batch_size", 12.5),
+        ("batch_size", 0),
+        ("max_epochs", 0),
+        ("max_epochs", 2.0),
+        ("restarts", 0),
+        ("patience", -1),
+        ("patience", True),
+        ("lr_decay", -0.5),
+        ("lr_decay", 0.0),
+        ("lr_decay", 1.5),
+        ("learning_rate", 0.0),
+    ])
+    def test_bad_value_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(patience=0, lr_decay=1.0, batch_size=np.int64(1), lr_every=1, restarts=1, max_epochs=1)
+
+
+class TestAgainstAllocatingOracle:
+    """The trainer's in-place float32 steps against the allocating forward,
+    backward and per-array Adam in tests/oracles.py, bit for bit."""
+
+    SIZES = [3, 12, 12, 2]
+
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-1, 1, size=(61, 3)).astype(np.float32)
+        y = np.column_stack([np.sin(3 * x[:, 0]), x[:, 1] * x[:, 2]]).astype(np.float32)
+        return x, y
+
+    @pytest.mark.parametrize("restarts, warm", [(1, False), (2, False), (2, True)])
+    def test_float32_training_bitwise(self, restarts, warm):
+        x, y = self.data()
+        # 3 validation rows, 58 training rows: batches of 16 end with a ragged 10
+        cfg = TrainConfig(seed=4, batch_size=16, max_epochs=5, lr_every=2, patience=20, restarts=restarts)
+        warm_start = init_params(self.SIZES, np.random.default_rng(14)) if warm else None
+        result = mlp_train(x, y, self.SIZES, cfg, warm_start=warm_start)
+        expected, epochs, val_loss = mlp_train_allocating(x, y, self.SIZES, cfg, warm_start=warm_start)
+        assert all(w.dtype == np.float32 for w in expected.weights)
+        assert result.params.flat().dtype == np.float64
+        assert np.array_equal(result.params.flat(), expected.flat().astype(np.float64))
+        assert (result.epochs, result.val_loss) == (epochs, val_loss) == (5 * restarts, val_loss)
+
+    def test_float64_loss_grad_bitwise(self):
+        rng = np.random.default_rng(15)
+        params = init_params([4, 8, 6, 3], rng)
+        x, y = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        loss, grads = mlp_loss_grad(params, x, y)
+        expected_loss, expected = mlp_loss_grad_allocating(params, x, y)
+        assert loss == expected_loss
+        assert grads.flat().dtype == np.float64
+        assert np.array_equal(grads.flat(), expected.flat())
+
+    def test_layer_views_share_the_flat_vector(self):
+        sizes = [3, 4, 2]
+        vector = np.arange(26.0)
+        params = layer_views(vector, sizes)
+        assert params.sizes == sizes and params.num_parameters == vector.size
+        params.biases[-1][:] = -1.0
+        assert np.array_equal(vector[-2:], [-1.0, -1.0])
+        assert np.array_equal(params.flat(), vector)
+        with pytest.raises(ValueError):
+            layer_views(np.zeros(25), sizes)
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +346,6 @@ class TestGenerator:
 
         xs, ys = dgen._training_arrays()
         sizes = [xs.shape[1], 8, rom.dim]
-        cold = mlp_train(xs, ys, sizes, replace(cfg, seed=cfg.seed + 1))
+        cold = mlp_train(xs, ys, sizes, replace(cfg, seed=cfg.seed + 1)).params
         assert np.array_equal(flat(retrained), flat(cold))
 
