@@ -72,7 +72,6 @@ from .problems import (
 )
 from .rb import (
     RbRom,
-    ReducedBasis,
     RieszSolver,
     SpannedTrajectory,
     TemporalBasis,

@@ -100,21 +100,25 @@ class AdaptiveModel:
             rec.t_ml_eval = time.perf_counter() - tic
             return result, ml_traj, rec
 
-        tic = time.perf_counter()
-        rb_traj = self.rb_rom.eval_state(mu)
-        rec.t_rb_eval = time.perf_counter() - tic
-        tic = time.perf_counter()
-        rb_traj = self.ml_generator.temporal.project(rb_traj)  # once, for the estimate and the store
-        rec.delta_rb = certify(rb_traj)
-        rec.t_rb_est = time.perf_counter() - tic
+        for tier in (TIER_RB, TIER_FOM):
+            if tier == TIER_FOM:  # the reduced model failed: enrich it with full-order data
+                self._enrich(mu, rec)
+            tic = time.perf_counter()
+            rb_traj = self.rb_rom.eval_state(mu)
+            rec.t_rb_eval += time.perf_counter() - tic
+            tic = time.perf_counter()
+            rb_traj = self.ml_generator.temporal.project(rb_traj)  # once, for the estimate and the store
+            rec.delta_rb = certify(rb_traj)
+            rec.t_rb_est += time.perf_counter() - tic
+            if rec.delta_rb <= self.eps:
+                rec.tier = tier
+                self._learn(mu, rb_traj, rec)
+                return self._package(rb_traj, use_state_estimate), rb_traj, rec
+        raise NumericalError("enrichment failed")
 
-        if rec.delta_rb <= self.eps:
-            rec.tier = TIER_RB
-            self._learn(mu, rb_traj, rec)
-            return self._package(rb_traj, use_state_estimate), rb_traj, rec
-
-        # neither surrogate was good enough: collect full-order data
-        rec.tier = TIER_FOM
+    def _enrich(self, mu, rec: EvalRecord):
+        """Stream the full-order trajectory at mu into the reduced basis,
+        rebuild the reduced model, and carry the learned tier onto it."""
         tic = time.perf_counter()
         self.rb_generator.extend(mu)
         rec.t_fom = time.perf_counter() - tic
@@ -122,17 +126,9 @@ class AdaptiveModel:
         self.rb_rom = self.rb_generator.precompute()
         rec.t_rb_build = time.perf_counter() - tic
         self.events.append({"kind": "rb_enrich", "index": len(self.records), "basis_dim": self.rb_rom.dim})
-
         tic = time.perf_counter()
         self.ml_generator = self.ml_generator.prolong(self.rb_rom)
-        rb_traj = self.ml_generator.temporal.project(self.rb_rom.eval_state(mu))
         rec.t_ml_build = time.perf_counter() - tic
-        self._learn(mu, rb_traj, rec)
-
-        rec.delta_rb = certify(rb_traj)
-        if rec.delta_rb > self.eps:
-            raise NumericalError("enrichment failed")
-        return self._package(rb_traj, use_state_estimate), rb_traj, rec
 
     def _learn(self, mu, traj: Trajectory, rec: EvalRecord):
         """Hand a certified reduced trajectory to the learned tier and refit

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import AdaptiveModel, EvalRecord
-from .core import ConfigError, time_average
+from .core import ConfigError, time_average, window_mask
 from .fom import FomProblem, FullOrderModel
 from .hapod import HapodConfig, RbGenerator
 from .kernels import KernelConfig, VkogaGenerator
@@ -64,6 +64,7 @@ def monte_carlo(model: AdaptiveModel, n_samples: int, window, seed: int = 0) -> 
     variance of the window-averaged output with a one-pass update."""
     if n_samples < 2:
         raise ValueError("Monte Carlo needs at least two samples")
+    window_mask(model.fom.problem.time_grid, window)  # fails before a query changes the model
     rng = np.random.default_rng(seed)
     records = []
     mean = 0.0

@@ -1,11 +1,11 @@
-"""Shared contracts for the model hierarchy: time grids, parameter boxes,
+"""Shared types of the model hierarchy: time grids, parameter boxes,
 state trajectories, output signals, and the discrete time-signal norms that
 every tier (full order, reduced, learned) is measured in."""
 
 from __future__ import annotations
 
-import abc
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +17,12 @@ class NumericalError(RuntimeError):
 
 class ConfigError(ValueError):
     """Raised for malformed run/problem configuration."""
+
+
+def check_count(name: str, value, least: int):
+    """Raise ValueError unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -157,49 +163,19 @@ def linf_time_norm(signal: OutputSignal) -> float:
     return float(np.max(np.abs(signal.values)))
 
 
+def window_mask(grid: TimeGrid, window) -> np.ndarray:
+    """Which nodes of the grid lie inside the closed window; raises
+    ValueError if none does."""
+    lo, hi = float(window[0]), float(window[1])
+    mask = (grid.nodes >= lo) & (grid.nodes <= hi)
+    if not np.any(mask):
+        raise ValueError("empty time window")
+    return mask
+
+
 def time_average(signal: OutputSignal, window) -> float:
     """Arithmetic mean of the signal over nodes inside the closed window.
 
     Raises ValueError if no node falls inside the window.
     """
-    lo, hi = float(window[0]), float(window[1])
-    nodes = signal.grid.nodes
-    mask = (nodes >= lo) & (nodes <= hi)
-    if not np.any(mask):
-        raise ValueError("empty time window")
-    return float(np.mean(signal.values[mask]))
-
-
-class Model(abc.ABC):
-    """A state-based model: maps a parameter to a state trajectory and an output signal."""
-
-    @abc.abstractmethod
-    def eval_state(self, mu) -> Trajectory: ...
-
-    @abc.abstractmethod
-    def eval_output(self, mu) -> OutputSignal: ...
-
-
-class CertifiedModel(Model):
-    """A model whose output error against the reference is bounded a posteriori."""
-
-    @abc.abstractmethod
-    def est_output(self, mu) -> float: ...
-
-
-class Generator(abc.ABC):
-    """Builds certified models from collected training parameters.
-
-    After ``extend(mu)`` followed by ``precompute()``, the produced model must
-    satisfy ``est_output(mu) <= eps`` for every collected mu (checked in tests).
-    """
-
-    @property
-    @abc.abstractmethod
-    def training_parameters(self) -> list: ...
-
-    @abc.abstractmethod
-    def extend(self, mu) -> None: ...
-
-    @abc.abstractmethod
-    def precompute(self) -> CertifiedModel: ...
+    return float(np.mean(signal.values[window_mask(signal.grid, window)]))

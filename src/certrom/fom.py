@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import Model, NumericalError, OutputSignal, ParameterBox, TimeGrid, Trajectory
+from .core import NumericalError, OutputSignal, ParameterBox, TimeGrid, Trajectory
 from .fem import AffineFunctional, AffineOperator, DirichletLifting, StructuredGrid
 
 
@@ -50,7 +50,7 @@ class FomProblem:
         return Trajectory(traj.grid, traj.coeffs + self.lifting.values[None, :])
 
 
-class FullOrderModel(Model):
+class FullOrderModel:
     """Reference model: one sparse factorization per parameter, reused over all steps."""
 
     def __init__(self, problem: FomProblem):

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Generator, NumericalError
+from .core import NumericalError
 from .fom import FullOrderModel
 from .rb import EstimatorBuilder, RbRom, assemble_rb_rom, orthonormalize
 
@@ -23,26 +23,26 @@ def gram_schmidt(vectors, gram, existing: Optional[np.ndarray] = None, drop_tol:
     return orthonormalize(vectors, gram, existing, drop_tol)[0]
 
 
+OMEGA = 0.75  # share of the error budget left for the final POD
+
+
 @dataclass(frozen=True)
 class HapodConfig:
     """Tolerances of the incremental compression.
 
     eps_pod bounds the final root-mean-square Gram-projection error of all fed
-    vectors; omega splits the error budget between intermediate chunk PODs and
+    vectors; OMEGA splits the error budget between intermediate chunk PODs and
     the final one.
     """
 
     eps_pod: float = 1e-12
     chunk: int = 100
-    omega: float = 0.75
 
     def __post_init__(self):
         if not self.eps_pod > 0.0:
             raise ValueError("eps_pod must be positive")
         if self.chunk < 1:
             raise ValueError("chunk size must be at least 1")
-        if not 0.0 < self.omega < 1.0:
-            raise ValueError("omega must lie in (0, 1)")
 
 
 class IncrementalHapod:
@@ -51,8 +51,8 @@ class IncrementalHapod:
     Feeding n_expected vectors in chunks and finalizing yields Gram-orthonormal
     modes with total squared projection error of all inputs bounded by
     n_expected * eps_pod**2: intermediate truncations share a
-    (1 - omega) * sqrt(n) * eps budget evenly, the final one gets
-    omega * sqrt(n) * eps, and the telescoping triangle inequality in the
+    (1 - OMEGA) * sqrt(n) * eps budget evenly, the final one gets
+    OMEGA * sqrt(n) * eps, and the telescoping triangle inequality in the
     Gram-weighted Frobenius norm does the rest.
     """
 
@@ -66,8 +66,8 @@ class IncrementalHapod:
         self.n_seen = 0
         stages = max(1, math.ceil(self.n_expected / config.chunk))
         budget = math.sqrt(self.n_expected) * config.eps_pod
-        self._local_budget = (1.0 - config.omega) * budget / stages
-        self._final_budget = config.omega * budget
+        self._local_budget = (1.0 - OMEGA) * budget / stages
+        self._final_budget = OMEGA * budget
         self._finalized = False
 
     @property
@@ -154,7 +154,7 @@ def load_basis(path) -> np.ndarray:
     return data
 
 
-class RbGenerator(Generator):
+class RbGenerator:
     """Streams full-order trajectories through the chunked POD into a growing,
     nested reduced basis, and precomputes certified reduced models from it.
 
@@ -195,7 +195,7 @@ class RbGenerator(Generator):
         lies in the basis must not grow it with roundoff directions.
         """
         problem = self.fom.problem
-        cfg = HapodConfig(eps_pod, self.hapod.chunk, self.hapod.omega)
+        cfg = HapodConfig(eps_pod, self.hapod.chunk)
         state = IncrementalHapod(problem.gram, cfg, problem.time_grid.num_nodes)
         chunk = []
         raw_scale = 0.0
@@ -222,11 +222,17 @@ class RbGenerator(Generator):
         return scale
 
     def extend(self, mu) -> None:
+        """Add mu to the training set and stream its trajectory into the basis.
+        A mu already in the set is only marked pending again: its trajectory
+        went through the compression at eps_pod, where a re-solve could only
+        add sub-floor directions, so ``precompute`` re-certifies it and
+        re-streams it at a tighter eps_pod only if it fails."""
         problem = self.fom.problem
         mu = problem.box.validate(mu)
-        if any(np.array_equal(mu, seen) for seen in self.mus):
-            # the training set is a set: this trajectory already went through
-            # the compression, a re-solve could only add sub-floor directions
+        seen = next((old for old in self.mus if np.array_equal(mu, old)), None)
+        if seen is not None:
+            if all(seen is not pending for pending in self._pending):
+                self._pending.append(seen)
             return
         self.mus.append(mu.copy())
         self._pending.append(self.mus[-1])

@@ -31,7 +31,6 @@ class KernelConfig:
     gamma: Optional[float] = None  # defaults to 1 / input dimension
     regularization: float = 0.0
     max_centers: Optional[int] = None
-    residual_tol: float = 0.0
 
     def __post_init__(self):
         if self.gamma is not None and not self.gamma > 0.0:
@@ -147,7 +146,7 @@ class KernelModel:
             norms = self._residual_norms.copy()
             norms[self._selected] = -np.inf
             pick = int(np.argmax(norms))
-            if norms[pick] <= config.residual_tol and self.num_centers > 0:
+            if norms[pick] <= 0.0 and self.num_centers > 0:  # every target is matched
                 break
             if self._power[pick] < POWER_FLOOR:
                 break

@@ -11,13 +11,12 @@ training precision, since the estimator bounds whatever trajectory it gets."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import NumericalError, Trajectory
+from .core import NumericalError, Trajectory, check_count
 from .rb import LearnedGenerator, LearnedRom, RbRom
 
 TRAIN_DTYPE = np.float32
@@ -228,9 +227,7 @@ class TrainConfig:
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("learning-rate decay must lie in (0, 1]")
         for name, least in (("batch_size", 1), ("max_epochs", 1), ("lr_every", 1), ("restarts", 1), ("patience", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_count(name, getattr(self, name), least)
 
 
 class TrainResult(NamedTuple):

@@ -13,24 +13,22 @@ from .adaptive import AdaptiveModel, StagnationConfig, StagnationDetector, apply
 from .core import OutputSignal, ParameterBox, l2_time_norm, linf_time_norm
 
 
+# the standard simplex coefficients
+REFLECTION = 1.0
+EXPANSION = 2.0
+CONTRACTION = 0.5
+SHRINK = 0.5
+
+
 @dataclass(frozen=True)
 class NelderMeadConfig:
     initial_point: np.ndarray
-    initial_scale: Optional[np.ndarray] = None  # per-axis simplex offsets
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     xatol: float = 1e-4
     fatol: float = 1e-7
     max_evals: int = 400
 
     def __post_init__(self):
         object.__setattr__(self, "initial_point", np.asarray(self.initial_point, dtype=float))
-        if self.initial_scale is not None:
-            object.__setattr__(self, "initial_scale", np.asarray(self.initial_scale, dtype=float))
-        if min(self.reflection, self.expansion, self.contraction, self.shrink) <= 0:
-            raise ValueError("simplex coefficients must be positive")
         if min(self.xatol, self.fatol) <= 0:
             raise ValueError("convergence tolerances must be positive")
         if self.max_evals < 1:
@@ -72,9 +70,7 @@ def nelder_mead(
     def seed(center):
         points = [center]
         for i in range(dim):
-            step = cfg.initial_scale[i] if cfg.initial_scale is not None else (
-                0.05 * center[i] if center[i] != 0.0 else 0.00025
-            )
+            step = 0.05 * center[i] if center[i] != 0.0 else 0.00025
             point = center.copy()
             point[i] += step
             point = box.clip(point)
@@ -112,26 +108,26 @@ def nelder_mead(
 
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
-        reflected = box.clip(centroid + cfg.reflection * (centroid - worst))
+        reflected = box.clip(centroid + REFLECTION * (centroid - worst))
         fr = f(reflected)
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
             continue
         if fr < values[0]:
-            expanded = box.clip(centroid + cfg.expansion * (centroid - worst))
+            expanded = box.clip(centroid + EXPANSION * (centroid - worst))
             fe = f(expanded)
             if fe < fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
                 simplex[-1], values[-1] = reflected, fr
             continue
-        contracted = box.clip(centroid + cfg.contraction * (simplex[-1] - centroid))
+        contracted = box.clip(centroid + CONTRACTION * (simplex[-1] - centroid))
         fc = f(contracted)
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
         best = simplex[0]
-        simplex = [best] + [box.clip(best + cfg.shrink * (p - best)) for p in simplex[1:]]
+        simplex = [best] + [box.clip(best + SHRINK * (p - best)) for p in simplex[1:]]
         values = [values[0]] + [f(p) for p in simplex[1:]]
 
     best = int(np.argmin(values))

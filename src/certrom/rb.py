@@ -19,7 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import CertifiedModel, Generator, NumericalError, OutputSignal, Trajectory
+from .core import NumericalError, OutputSignal, Trajectory, check_count
 from .fem import AffineFunctional, AffineOperator
 from .fom import FomProblem
 
@@ -97,46 +97,26 @@ def orthonormalize(vectors, gram, existing: Optional[np.ndarray] = None, drop_to
 
 
 @dataclass(frozen=True)
-class ReducedBasis:
-    """Column matrix of Gram-orthonormal basis vectors."""
-
-    matrix: np.ndarray  # N_h x N_rb
-    gram: object  # sparse SPD Gram matrix of the underlying space
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def project_coeffs(self, vectors: np.ndarray) -> np.ndarray:
-        """Coefficients of the Gram-orthogonal projection onto the span."""
-        return self.matrix.T @ (self.gram @ vectors)
-
-    def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        """Full-order rows from reduced rows: (K x N) -> (K x N_h)."""
-        return coeffs @ self.matrix.T
-
-    def orthonormality_defect(self) -> float:
-        if self.dim == 0:
-            return 0.0
-        eye = self.matrix.T @ (self.gram @ self.matrix)
-        return float(np.max(np.abs(eye - np.eye(self.dim))))
-
-
-@dataclass(frozen=True)
 class EstimatorData:
     """Online data of the residual estimator.
 
-    ``factor`` holds, row-wise per member of the residual component family
-    [rhs components | M basis columns | A_q basis columns], the coordinates of
+    Each member of the residual component family has a row of coordinates of
     its Riesz representative in an orthonormal basis of the representative
-    range; a residual dual norm is the Euclidean norm of gamma @ factor.
+    range (r directions), kept by block: the rhs components F_L (Q_l x r),
+    the mass matrix on the basis columns F_M (n x r), and each operator
+    component on the basis columns F_A (Q x n x r). A residual dual norm is
+    the Euclidean norm of gamma @ [F_L; F_M; F_A].
     """
 
-    factor: np.ndarray  # family size x range size
-    num_rhs: int
-    num_basis: int
-    num_operator: int
+    rhs_rows: np.ndarray
+    mass_rows: np.ndarray
+    operator_rows: np.ndarray
     output_dual_norm: float
+
+    @property
+    def factor(self) -> np.ndarray:
+        """All rows, [F_L; F_M; F_A]: family size x range size."""
+        return np.vstack([self.rhs_rows, self.mass_rows, *self.operator_rows])
 
 
 class RbRom:
@@ -144,7 +124,7 @@ class RbRom:
 
     def __init__(
         self,
-        basis: ReducedBasis,
+        basis: np.ndarray,
         time_grid,
         mass_hat: np.ndarray,
         operator_hats: list,
@@ -158,9 +138,8 @@ class RbRom:
         estimator: EstimatorData,
         theta_bar: np.ndarray,
         box,
-        parameter_names=(),
     ):
-        self.basis = basis
+        self.basis = basis  # N_h x n, Gram-orthonormal columns
         self.time_grid = time_grid
         self.mass_hat = mass_hat
         self.operator_hats = operator_hats
@@ -175,11 +154,10 @@ class RbRom:
         self._symmetric = np.array([c.symmetric for c in operator.components])
         self.theta_bar = theta_bar  # theta_q(mu_bar) > 0 of the symmetric components
         self.box = box
-        self.parameter_names = tuple(parameter_names)
 
     @property
     def dim(self) -> int:
-        return self.basis.dim
+        return self.basis.shape[1]
 
     # -- coercivity -------------------------------------------------------
     def alpha_lb(self, mu) -> float:
@@ -222,24 +200,26 @@ class RbRom:
         return self.output_of(self.eval_state(mu))
 
     def reconstruct(self, traj: Trajectory) -> Trajectory:
-        return Trajectory(traj.grid, self.basis.reconstruct(traj.coeffs))
+        """Full-order rows from reduced rows: (K x n) -> (K x N_h)."""
+        return Trajectory(traj.grid, traj.coeffs @ self.basis.T)
 
     # -- estimators ---------------------------------------------------------
+    def _residual_rows(self, traj: Trajectory, mu) -> tuple:
+        """(F_L, F_M, F_A(mu)) for a trajectory of the estimator's dimension,
+        the operator rows collapsed first, F_A(mu) = sum_q theta_q(mu) F_{A_q}."""
+        est = self.estimator
+        if traj.dim != est.mass_rows.shape[0]:
+            raise ValueError("trajectory dimension does not match the estimator data")
+        return est.rhs_rows, est.mass_rows, np.tensordot(self.operator.thetas(mu), est.operator_rows, axes=1)
+
     def residual_dual_norms(self, traj: Trajectory, mu) -> np.ndarray:
         """Dual norms of the K-1 implicit Euler step defects of the trajectory.
 
         Step k has the defect coordinates [l(mu, t_k) | -dc_k / dt | -c_k] @
-        [F_L; F_M; F_A(mu)], where the operator rows are collapsed first,
-        F_A(mu) = sum_q theta_q(mu) F_{A_q}. The step difference dc_k is formed
-        before the product: splitting it would cancel two large products."""
-        est = self.estimator
-        if traj.dim != est.num_basis:
-            raise ValueError("trajectory dimension does not match the estimator data")
-        n, ql, factor = est.num_basis, est.num_rhs, est.factor
+        [F_L; F_M; F_A(mu)]. The step difference dc_k is formed before the
+        product: splitting it would cancel two large products."""
         c = traj.coeffs
-        thetas = self.operator.thetas(mu)
-        operator_rows = factor[ql + n :].reshape(est.num_operator, n, factor.shape[1])
-        rows = np.vstack([factor[: ql + n], np.tensordot(thetas, operator_rows, axes=1)])
+        rows = np.vstack(self._residual_rows(traj, mu))
         gammas = np.hstack([
             self.rhs.coefficient_table(mu, self.time_grid)[1:],
             -(c[1:] - c[:-1]) / self.time_grid.dt,
@@ -259,17 +239,10 @@ class RbRom:
         of the part in span [T | e_0], ||R_B Y||_F (see TemporalBasis), and a
         bound on the defects of the tail E,
         ||DE||_F ||F_M||_F + ||E_1||_F ||F_A(mu)||_F."""
-        est = self.estimator
-        if traj.dim != est.num_basis:
-            raise ValueError("trajectory dimension does not match the estimator data")
-        n, ql, factor = est.num_basis, est.num_rhs, est.factor
-        mass_rows = factor[ql : ql + n]
-        operator_rows = np.tensordot(
-            self.operator.thetas(mu), factor[ql + n :].reshape(est.num_operator, n, factor.shape[1]), axes=1
-        )
+        rhs_rows, mass_rows, operator_rows = self._residual_rows(traj, mu)
         coords = traj.coordinates
         stacked = np.vstack([
-            self.rhs.thetas(mu)[:, None] * factor[:ql],
+            self.rhs.thetas(mu)[:, None] * rhs_rows,
             coords @ mass_rows,
             traj.head[None, :] @ mass_rows,
             coords @ operator_rows,
@@ -334,55 +307,43 @@ class EstimatorBuilder:
         self.problem = problem
         self.riesz = RieszSolver(problem.gram)
         self._range = np.zeros((problem.dim, 0))  # G-orthonormal columns
-        self._coords = np.zeros((0, 0))  # range size x family size
-        self._tags = []
+        # coordinate rows by block: F_L, F_M and F_A (see EstimatorData)
+        self._rhs = np.zeros((0, 0))
+        self._mass = np.zeros((0, 0))
+        self._operator = np.zeros((len(problem.operator.components), 0, 0))
         rhs_vectors = problem.rhs.vectors()
         if rhs_vectors.shape[1]:
-            self._append(rhs_vectors, [("L", q) for q in range(rhs_vectors.shape[1])])
-        self._num_basis = 0
+            self._rhs = self._append(rhs_vectors)
         self.output_dual_norm = self.riesz.dual_norm(problem.output)
 
     _DEFLATION = 1e-13
 
-    def _append(self, vectors: np.ndarray, tags: list):
+    def _append(self, vectors: np.ndarray) -> np.ndarray:
+        """Coordinate rows of the vectors' Riesz representatives in the range
+        grown by them; the stored rows are zero in the new range directions.
+        The blocks are rebound, never written in place, so every built
+        EstimatorData stays as it was."""
         reps = self.riesz.solve(vectors)
         new, coords = orthonormalize(reps, self.problem.gram, self._range, drop_tol=self._DEFLATION)
         self._range = np.hstack([self._range, new])
-        self._coords = np.hstack([np.pad(self._coords, ((0, new.shape[1]), (0, 0))), coords])
-        self._tags.extend(tags)
+        grow = (0, new.shape[1])
+        self._rhs = np.pad(self._rhs, ((0, 0), grow))
+        self._mass = np.pad(self._mass, ((0, 0), grow))
+        self._operator = np.pad(self._operator, ((0, 0), (0, 0), grow))
+        return coords.T
 
     def add_basis_columns(self, new_columns: np.ndarray):
         if new_columns.size == 0:
             return
         p = self.problem
-        start = self._num_basis
-        cols = [p.mass @ new_columns]
-        tags = [("M", start + j) for j in range(new_columns.shape[1])]
-        for q, comp in enumerate(p.operator.components):
-            cols.append(comp.matrix @ new_columns)
-            tags.extend(("A", q, start + j) for j in range(new_columns.shape[1]))
-        self._append(np.hstack(cols), tags)
-        self._num_basis += new_columns.shape[1]
+        count = new_columns.shape[1]
+        images = [p.mass @ new_columns] + [comp.matrix @ new_columns for comp in p.operator.components]
+        rows = self._append(np.hstack(images))  # [M | A_1 | ... | A_Q] times the new columns
+        self._mass = np.vstack([self._mass, rows[:count]])
+        self._operator = np.concatenate([self._operator, rows[count:].reshape(len(self._operator), count, -1)], axis=1)
 
     def build(self) -> EstimatorData:
-        num_rhs = len(self.problem.rhs.components)
-        num_op = len(self.problem.operator.components)
-        def rank(tag):
-            if tag[0] == "L":
-                return (0, tag[1], 0)
-            if tag[0] == "M":
-                return (1, 0, tag[1])
-            return (2, tag[1], tag[2])
-
-        order = sorted(range(len(self._tags)), key=lambda i: rank(self._tags[i]))
-        factor = np.ascontiguousarray(self._coords.T[order])
-        return EstimatorData(
-            factor=factor,
-            num_rhs=num_rhs,
-            num_basis=self._num_basis,
-            num_operator=num_op,
-            output_dual_norm=self.output_dual_norm,
-        )
+        return EstimatorData(self._rhs, self._mass, self._operator, self.output_dual_norm)
 
 
 def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Optional[EstimatorBuilder] = None) -> RbRom:
@@ -398,7 +359,6 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
     if builder is None:
         builder = EstimatorBuilder(p)
         builder.add_basis_columns(phi)
-    basis = ReducedBasis(phi, p.gram)
 
     # min-theta needs theta_q > 0 on the whole box for each symmetric q; as
     # theta_q(mu) is 1 or mu[parameter], its least value is at the lower corner
@@ -416,12 +376,12 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
     output_hat = phi.T @ p.output
 
     u0 = p.initial_vector()
-    init_coeffs = basis.project_coeffs(u0)
+    init_coeffs = phi.T @ (p.gram @ u0)
     defect_vec = u0 - phi @ init_coeffs
     init_defect = float(np.sqrt(max(defect_vec @ (p.gram @ defect_vec), 0.0)))
 
     return RbRom(
-        basis=basis,
+        basis=phi,
         time_grid=p.time_grid,
         mass_hat=mass_hat,
         operator_hats=operator_hats,
@@ -435,7 +395,6 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
         estimator=builder.build(),
         theta_bar=theta_bar,
         box=p.box,
-        parameter_names=p.parameter_names,
     )
 
 
@@ -538,7 +497,7 @@ class TemporalBasis:
         return SpannedTrajectory(self, coords, initial=coeffs[0], tail=tail, coeffs=coeffs)
 
 
-class LearnedRom(CertifiedModel):
+class LearnedRom:
     """Certified learned ROM: a backend predicts the reduced trajectory
     (``eval_state``), the output operator and the error estimator are the
     underlying RB-ROM's."""
@@ -561,7 +520,7 @@ class LearnedRom(CertifiedModel):
         return self.rb_rom.est_output_for(self.eval_state(mu), mu)
 
 
-class LearnedGenerator(Generator):
+class LearnedGenerator(abc.ABC):
     """Sample store of the learned backends: (mu, reduced trajectory) pairs
     collected from an RB-ROM, refitted once ``pending_threshold`` store
     changes accumulated since the last fit (or on demand), and carried onto
@@ -585,7 +544,8 @@ class LearnedGenerator(Generator):
 
     def __init__(self, rb_rom: RbRom, pending_threshold: int):
         self.rb_rom = rb_rom
-        self.pending_threshold = max(1, int(pending_threshold))
+        check_count("pending_threshold", pending_threshold, 1)
+        self.pending_threshold = pending_threshold
         self._mus: list = []
         self.temporal = TemporalBasis(rb_rom.time_grid, rb_rom.rhs)
         self._rows = np.empty((0, 0))  # the first len(_mus) rows are live
@@ -724,7 +684,7 @@ class LearnedGenerator(Generator):
         basis columns."""
         old_n, new_n = self.rb_rom.dim, new_rb_rom.dim
         if new_n < old_n or not np.allclose(
-            new_rb_rom.basis.matrix[:, :old_n], self.rb_rom.basis.matrix, atol=1e-12
+            new_rb_rom.basis[:, :old_n], self.rb_rom.basis, atol=1e-12
         ):
             raise ValueError("prolongation requires a nested reduced basis")
         out = copy.copy(self)

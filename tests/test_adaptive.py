@@ -199,6 +199,19 @@ class TestToleranceDrop:
             assert refit["samples"] == len(model.ml_generator.samples)
             assert sum(e["kind"] == "ml_train" for e in model.events) == model.ml_generator.trainings
 
+    def test_drop_below_a_training_estimate_recertifies_it(self, heat_problem):
+        # a FOM-tier answer leaves a small but nonzero RB estimate at its mu;
+        # after a drop below it, a re-query must re-stream mu at a tighter
+        # compression tolerance instead of failing
+        model = make_adaptive_model(heat_problem, eps=1e-2)
+        mu = np.array([1.3, 0.8])
+        assert model.query(mu)[1].tier == "fom"
+        apply_tolerance_drop(model, model.rb_rom.est_output(mu) / 2)
+        _, rec = model.query(mu)
+        assert rec.tier == "fom"
+        assert rec.delta_rb <= model.eps
+        assert len(model.rb_generator.training_parameters) == 1
+
     def test_drop_must_tighten(self, heat_problem, model):
         with pytest.raises(ValueError):
             apply_tolerance_drop(model, model.eps * 2)

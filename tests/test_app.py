@@ -63,6 +63,28 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(model, 1, window=(0.5, 1.0))
 
+    def test_empty_window_rejected_before_any_query(self, heat_problem):
+        model = make_adaptive_model(heat_problem, eps=1e-2, ml_backend="vkoga")
+        with pytest.raises(ValueError, match="empty time window"):
+            monte_carlo(model, 5, window=(2.0, 3.0))
+        assert model.records == []
+        assert model.rb_rom.dim == 0
+
+
+class TestBatchThreshold:
+    @pytest.mark.parametrize("threshold", [0, -2, 2.9, True], ids=["zero", "negative", "fraction", "bool"])
+    def test_bad_threshold_rejected(self, heat_problem, threshold):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            make_adaptive_model(heat_problem, eps=1e-2, retrain="batch", batch_threshold=threshold)
+
+    def test_fractional_threshold_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, retrain="batch", batch_threshold=2.9)
+        code = cli([
+            "solve", "--config", cfg, "--model", "adaptive", "--mu", "1.0,1.5", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
 
 def synthetic_record(i, tier):
     return EvalRecord(

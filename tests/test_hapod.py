@@ -149,6 +149,16 @@ class TestRbGenerator:
         gen.extend(mu)
         assert gen.basis.shape[1] == dim
 
+    def test_revisited_parameter_is_recertified(self, heat_problem):
+        fom = FullOrderModel(heat_problem)
+        gen = RbGenerator(fom, eps=1e-2)
+        mu = np.array([1.3, 0.8])
+        gen.extend(mu)
+        gen.eps = gen.precompute().est_output(mu) / 2
+        gen.extend(mu)
+        assert gen.precompute().est_output(mu) <= gen.eps
+        assert len(gen.training_parameters) == 1
+
     def test_first_extend_counts_hapod_modes(self, heat_problem):
         fom = FullOrderModel(heat_problem)
         gen = RbGenerator(fom, eps=1e-3)

@@ -17,6 +17,7 @@ from certrom import (
     NumericalError,
     OperatorComponent,
     ParameterBox,
+    RbGenerator,
     TimeGrid,
     TrainConfig,
     Trajectory,
@@ -260,6 +261,42 @@ class TestResidualNorms:
             assert np.max(np.abs(fast - slow) / denom) <= 1e-8
 
 
+class TestEstimatorLayout:
+    """The estimator's rows arrive by block over many appends: the rhs rows
+    first, then the mass and operator rows of each new batch of basis
+    columns, each append growing the range. The online norms must not
+    depend on that history."""
+
+    @pytest.mark.parametrize("case", ["heat_forcing", "reactive_lift"])
+    def test_rows_from_several_appends_match_bruteforce(self, case, heat_problem, small_reactive_problem, monkeypatch):
+        problem, mus = {
+            "heat_forcing": (heat_problem, [[0.7, 1.8], [1.9, 0.6], [1.2, 1.2]]),
+            "reactive_lift": (small_reactive_problem, [[1.0, 10.0], [8.0, 9.5], [4.0, 9.2]]),
+        }[case]
+        appends = []
+        add_basis_columns = certrom.rb.EstimatorBuilder.add_basis_columns
+
+        def counted(builder, columns):
+            appends.append(columns.shape[1])
+            add_basis_columns(builder, columns)
+
+        monkeypatch.setattr(certrom.rb.EstimatorBuilder, "add_basis_columns", counted)
+        gen = RbGenerator(FullOrderModel(problem), eps=1e-3)
+        for mu in mus:
+            gen.extend(mu)
+        rom = gen.precompute()
+        assert sum(n > 0 for n in appends) >= 3
+        rows = len(problem.rhs.components) + (1 + len(problem.operator.components)) * rom.dim
+        assert rom.estimator.factor.shape[0] == rows
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            mu = problem.box.sample(rng)
+            traj = Trajectory(problem.time_grid, rng.normal(size=(problem.time_grid.num_nodes, rom.dim)))
+            fast = rom.residual_dual_norms(traj, mu)
+            slow = rb_residual_bruteforce(problem, rom.basis, traj, mu)
+            assert np.max(np.abs(fast - slow) / np.maximum(slow, 1e-12)) <= 1e-8
+
+
 class TestEstimates:
     def test_exact_reproduction_estimates_vanish(self, heat_problem):
         mu = np.array([0.55, 1.95])
@@ -338,7 +375,7 @@ class TestEstimates:
     def test_basis_orthonormality(self, heat_problem):
         basis = snapshot_basis(heat_problem, [[1.0, 1.0], [1.7, 0.7]])
         rom = assemble_rb_rom(heat_problem, basis)
-        assert rom.basis.orthonormality_defect() <= 1e-10
+        assert np.max(np.abs(rom.basis.T @ (heat_problem.gram @ rom.basis) - np.eye(rom.dim))) <= 1e-10
 
 
 @pytest.fixture(scope="module")
