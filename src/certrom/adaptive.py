@@ -11,8 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NumericalError, OutputSignal, Trajectory
-from .fom import FullOrderModel
+from .core import NumericalError, OutputSignal, Trajectory, check_count
 from .rb import SpannedTrajectory
 
 TIER_ML = "ml"
@@ -49,17 +48,16 @@ class AdaptiveModel:
     enriching both) the freshly extended reduced model; every returned output
     is certified within the current tolerance in the discrete L2(0, T) norm.
     Queries are strictly sequential: enrichment mutates the shared surrogates.
+    The model holds only the two generators and reads the rest through them,
+    so a query that raises leaves a model that answers the next one.
     """
 
-    def __init__(self, fom: FullOrderModel, rb_generator, ml_generator, eps: float):
-        self.fom = fom
+    def __init__(self, rb_generator, ml_generator):
         self.rb_generator = rb_generator
-        self.eps = eps
-        self.rb_rom = rb_generator.precompute()
-        if ml_generator.rb_rom is not self.rb_rom:
-            ml_generator = ml_generator.prolong(self.rb_rom)
+        rb_rom = rb_generator.precompute()
+        if ml_generator.rb_rom is not rb_rom:
+            ml_generator = ml_generator.prolong(rb_rom)
         self.ml_generator = ml_generator
-        self.ml_rom = ml_generator.current_model()
         self.records: list = []
         self.events: list = []
 
@@ -71,11 +69,19 @@ class AdaptiveModel:
 
     @eps.setter
     def eps(self, value: float):
-        self.rb_generator.eps = float(value)
+        self.rb_generator.eps = value
+
+    @property
+    def rb_rom(self):  # the certified reduced model the learned tier is carried on
+        return self.ml_generator.rb_rom
+
+    @property
+    def ml_rom(self):
+        return self.ml_generator.current_model()
 
     @property
     def box(self):
-        return self.fom.problem.box
+        return self.rb_generator.fom.problem.box
 
     # -- algorithm core ----------------------------------------------------
     def _query(self, mu, use_state_estimate: bool):
@@ -96,9 +102,9 @@ class AdaptiveModel:
         if rec.delta_ml <= self.eps:
             rec.tier = TIER_ML
             tic = time.perf_counter()
-            result = self._package(ml_traj, use_state_estimate)
+            answer = self._package(ml_traj, use_state_estimate)
             rec.t_ml_eval = time.perf_counter() - tic
-            return result, ml_traj, rec
+            return answer, self._finish(rec)
 
         for tier in (TIER_RB, TIER_FOM):
             if tier == TIER_FOM:  # the reduced model failed: enrich it with full-order data
@@ -113,7 +119,7 @@ class AdaptiveModel:
             if rec.delta_rb <= self.eps:
                 rec.tier = tier
                 self._learn(mu, rb_traj, rec)
-                return self._package(rb_traj, use_state_estimate), rb_traj, rec
+                return self._package(rb_traj, use_state_estimate), self._finish(rec)
         raise NumericalError("enrichment failed")
 
     def _enrich(self, mu, rec: EvalRecord):
@@ -123,11 +129,11 @@ class AdaptiveModel:
         self.rb_generator.extend(mu)
         rec.t_fom = time.perf_counter() - tic
         tic = time.perf_counter()
-        self.rb_rom = self.rb_generator.precompute()
+        rb_rom = self.rb_generator.precompute()
         rec.t_rb_build = time.perf_counter() - tic
-        self.events.append({"kind": "rb_enrich", "index": len(self.records), "basis_dim": self.rb_rom.dim})
+        self.events.append({"kind": "rb_enrich", "index": len(self.records), "basis_dim": rb_rom.dim})
         tic = time.perf_counter()
-        self.ml_generator = self.ml_generator.prolong(self.rb_rom)
+        self.ml_generator = self.ml_generator.prolong(rb_rom)
         rec.t_ml_build = time.perf_counter() - tic
 
     def _learn(self, mu, traj: Trajectory, rec: EvalRecord):
@@ -142,14 +148,14 @@ class AdaptiveModel:
         """Refit the learned tier when due (or forced), logging each fit as an
         ``ml_train`` event with the generator's report of its work."""
         before = self.ml_generator.trainings
-        self.ml_rom = self.ml_generator.precompute(force)
+        self.ml_generator.precompute(force)
         if self.ml_generator.trainings > before:
             self.events.append({"kind": "ml_train", "index": len(self.records), **self.ml_generator.last_fit})
 
     def _package(self, traj: Trajectory, as_state: bool):
         if as_state:
             full = self.rb_rom.reconstruct(traj)
-            return self.fom.problem.lift(full)
+            return self.rb_generator.fom.problem.lift(full)
         return self.rb_rom.output_of(traj)
 
     def _finish(self, rec: EvalRecord) -> EvalRecord:
@@ -160,13 +166,11 @@ class AdaptiveModel:
 
     def query(self, mu):
         """Certified output signal plus the provenance record."""
-        signal, _, rec = self._query(mu, use_state_estimate=False)
-        return signal, self._finish(rec)
+        return self._query(mu, use_state_estimate=False)
 
     def query_state(self, mu):
         """Certified full-order (lifted) state trajectory plus the record."""
-        traj, _, rec = self._query(mu, use_state_estimate=True)
-        return traj, self._finish(rec)
+        return self._query(mu, use_state_estimate=True)
 
     def eval_output(self, mu) -> OutputSignal:
         return self.query(mu)[0]
@@ -188,9 +192,9 @@ class StagnationConfig:
     eps0: Optional[float] = None
 
     def __post_init__(self):
-        if self.n_av < 2:
-            raise ValueError("running average width must be at least 2")
-        if self.divisor <= 1.0:
+        check_count("n_av", self.n_av, 2)
+        check_count("n_stag", self.n_stag, 0)
+        if not self.divisor > 1.0:  # also rejects NaN
             raise ValueError("tolerance divisor must exceed 1")
 
 
@@ -200,28 +204,25 @@ class StagnationDetector:
     The descent rate is the negated least-squares slope of the running average
     (width n_av) over the last n_av averaged points; stagnation is flagged when
     the rate (or the rate normalized by J_current / J_initial) stays below its
-    threshold for more than n_stag consecutive evaluations.
+    threshold for more than n_stag consecutive evaluations. It keeps no
+    tolerance: the caller lowers its own by ``config.divisor``.
     """
 
-    def __init__(self, config: StagnationConfig, eps0: float):
+    def __init__(self, config: StagnationConfig):
         self.config = config
-        self.eps = float(eps0)
         self.initial_objective: Optional[float] = None
         self.history: list = []
         self.consecutive = 0
-        self.drops: list = []
-        self.total_updates = 0
 
-    def update(self, objective_value: float) -> Optional[float]:
-        """Feed one objective evaluation; returns the new tolerance on a drop."""
+    def update(self, objective_value: float) -> bool:
+        """Feed one objective evaluation; returns whether a stagnation completed."""
         cfg = self.config
         value = float(objective_value)
         if self.initial_objective is None:
             self.initial_objective = value
         self.history.append(value)
-        self.total_updates += 1
         if len(self.history) < 2 * cfg.n_av - 1:
-            return None
+            return False
         averaged = np.convolve(self.history, np.ones(cfg.n_av) / cfg.n_av, mode="valid")
         window = averaged[-cfg.n_av :]
         x = np.arange(cfg.n_av, dtype=float)
@@ -236,10 +237,8 @@ class StagnationDetector:
         if self.consecutive > cfg.n_stag:
             self.consecutive = 0
             self.history = []  # the old plateau must not re-trigger on the new model
-            self.eps = self.eps / cfg.divisor
-            self.drops.append((self.total_updates, self.eps))
-            return self.eps
-        return None
+            return True
+        return False
 
 
 def apply_tolerance_drop(model: AdaptiveModel, new_eps: float) -> int:
@@ -258,9 +257,6 @@ def apply_tolerance_drop(model: AdaptiveModel, new_eps: float) -> int:
     model.events.append(
         {"kind": "eps_drop", "index": len(model.records), "eps": new_eps, "dropped": dropped}
     )
-    if dropped:
-        if gen.samples:
-            model._refit(force=True)
-        else:
-            model.ml_rom = gen.current_model()
+    if dropped and gen.samples:
+        model._refit(force=True)
     return dropped

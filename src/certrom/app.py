@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import AdaptiveModel, EvalRecord
-from .core import ConfigError, time_average, window_mask
+from .core import ConfigError, check_count, time_average, window_mask
 from .fom import FomProblem, FullOrderModel
 from .hapod import HapodConfig, RbGenerator
 from .kernels import KernelConfig, VkogaGenerator
@@ -30,11 +30,13 @@ def make_adaptive_model(
 ) -> AdaptiveModel:
     """Wire up FOM, basis generator and learned-model generator into one
     adaptive model. retrain is either "per_extend" or "batch" (trainings happen
-    once batch_threshold new samples accumulated)."""
+    once batch_threshold new samples accumulated); batch_threshold must be an
+    integer >= 1 under either policy."""
     if ml_backend not in ("vkoga", "mlp"):
         raise ConfigError(f"ml backend: expected 'vkoga' or 'mlp', got {ml_backend!r}")
     if retrain not in ("per_extend", "batch"):
         raise ConfigError(f"retrain policy: expected 'per_extend' or 'batch', got {retrain!r}")
+    check_count("batch_threshold", batch_threshold, 1)
     threshold = 1 if retrain == "per_extend" else batch_threshold
     fom = FullOrderModel(problem)
     rb_gen = RbGenerator(fom, eps, hapod=hapod)
@@ -45,7 +47,7 @@ def make_adaptive_model(
         ml_gen = DnnGenerator(
             rb_rom, hidden=hidden, config=TrainConfig(seed=seed), pending_threshold=threshold
         )
-    return AdaptiveModel(fom, rb_gen, ml_gen, eps)
+    return AdaptiveModel(rb_gen, ml_gen)
 
 
 @dataclass
@@ -62,9 +64,8 @@ class McReport:
 def monte_carlo(model: AdaptiveModel, n_samples: int, window, seed: int = 0) -> McReport:
     """Uniformly sample the parameter box and estimate mean and unbiased
     variance of the window-averaged output with a one-pass update."""
-    if n_samples < 2:
-        raise ValueError("Monte Carlo needs at least two samples")
-    window_mask(model.fom.problem.time_grid, window)  # fails before a query changes the model
+    check_count("n_samples", n_samples, 2)
+    window_mask(model.rb_rom.time_grid, window)  # fails before a query changes the model
     rng = np.random.default_rng(seed)
     records = []
     mean = 0.0

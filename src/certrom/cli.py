@@ -11,7 +11,7 @@ import numpy as np
 
 from . import app
 from .adaptive import StagnationConfig
-from .core import ConfigError, NumericalError, l2_time_norm
+from .core import ConfigError, NumericalError, check_count, l2_time_norm
 from .fom import FullOrderModel
 from .hapod import RbGenerator
 from .optimize import NelderMeadConfig, optimize_misfit
@@ -136,10 +136,9 @@ def _cmd_optimize(args, cfg, problem, settings) -> int:
         initial_point=mu0,
         max_evals=args.max_evals if args.max_evals is not None else cfg.get("max_evals", 400),
     )
-    fom = FullOrderModel(problem)
+    model = _make_model(problem, settings)  # rejects a bad setting before any full-order solve
     mu_ref = np.asarray(cfg.get("reference_mu", problem.box.center), dtype=float)
-    reference = fom.eval_output(mu_ref)
-    model = _make_model(problem, settings)
+    reference = FullOrderModel(problem).eval_output(mu_ref)
     report = optimize_misfit(model, reference, nm, stagnation)
     summary = app.export_telemetry(report.records, args.out, events=model.events)
     result = {
@@ -159,8 +158,7 @@ def _cmd_optimize(args, cfg, problem, settings) -> int:
 
 def _cmd_mc(args, cfg, problem, settings) -> int:
     n_mc = args.n_mc if args.n_mc is not None else cfg.get("n_mc", 100)
-    if n_mc < 2:
-        raise ValueError("Monte Carlo needs at least two samples")
+    check_count("n_mc", n_mc, 2)
     model = _make_model(problem, settings)
     window = tuple(cfg.get("window", (0.9 * problem.time_grid.t_end, problem.time_grid.t_end)))
     report = app.monte_carlo(model, n_mc, window, seed=settings["seed"])

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NumericalError
+from .core import NumericalError, check_count
 from .fom import FullOrderModel
 from .rb import EstimatorBuilder, RbRom, assemble_rb_rom, orthonormalize
 
@@ -41,8 +41,7 @@ class HapodConfig:
     def __post_init__(self):
         if not self.eps_pod > 0.0:
             raise ValueError("eps_pod must be positive")
-        if self.chunk < 1:
-            raise ValueError("chunk size must be at least 1")
+        check_count("chunk", self.chunk, 1)
 
 
 class IncrementalHapod:
@@ -160,14 +159,14 @@ class RbGenerator:
 
     ``eps`` is the one stored copy of the active output tolerance
     (``AdaptiveModel.eps`` reads and writes it); ``precompute`` certifies
-    against it.
+    against it. It must be positive (``inf`` accepts every estimate).
     """
 
     MAX_RETRIES = 3
 
     def __init__(self, fom: FullOrderModel, eps: float, hapod: HapodConfig = HapodConfig()):
         self.fom = fom
-        self.eps = float(eps)
+        self.eps = eps
         self.hapod = hapod
         self.mus = []
         self._pending = []  # extended since the last precompute, not yet certified
@@ -176,6 +175,17 @@ class RbGenerator:
         self._builder = EstimatorBuilder(problem)
         self._rom: Optional[RbRom] = None
         self.peak_full_vectors = 0
+
+    @property
+    def eps(self) -> float:
+        return self._eps
+
+    @eps.setter
+    def eps(self, value: float):
+        value = float(value)
+        if not value > 0.0:  # also rejects NaN
+            raise ValueError(f"eps must be positive, got {value!r}")
+        self._eps = value
 
     @property
     def training_parameters(self) -> list:
@@ -222,11 +232,11 @@ class RbGenerator:
         return scale
 
     def extend(self, mu) -> None:
-        """Add mu to the training set and stream its trajectory into the basis.
-        A mu already in the set is only marked pending again: its trajectory
-        went through the compression at eps_pod, where a re-solve could only
-        add sub-floor directions, so ``precompute`` re-certifies it and
-        re-streams it at a tighter eps_pod only if it fails."""
+        """Stream the trajectory at mu into the basis, then add mu to the
+        training set, so a failed solve records nothing. A mu already in the
+        set is only marked pending again (a re-solve at eps_pod could only add
+        sub-floor directions); ``precompute`` re-certifies it and re-streams
+        it at a tighter eps_pod only if it fails."""
         problem = self.fom.problem
         mu = problem.box.validate(mu)
         seen = next((old for old in self.mus if np.array_equal(mu, old)), None)
@@ -234,10 +244,11 @@ class RbGenerator:
             if all(seen is not pending for pending in self._pending):
                 self._pending.append(seen)
             return
+        self._grow(problem.initial_vector())
+        remains = self._stream_remains(mu, self.hapod.eps_pod)
         self.mus.append(mu.copy())
         self._pending.append(self.mus[-1])
-        self._grow(problem.initial_vector())
-        self._grow(self._stream_remains(mu, self.hapod.eps_pod))
+        self._grow(remains)
 
     def _grow(self, vectors: np.ndarray):
         """Append the directions of ``vectors`` not yet in the basis (zero

@@ -10,7 +10,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .adaptive import AdaptiveModel, StagnationConfig, StagnationDetector, apply_tolerance_drop
-from .core import OutputSignal, ParameterBox, l2_time_norm, linf_time_norm
+from .core import OutputSignal, ParameterBox, check_count, l2_time_norm, linf_time_norm
 
 
 # the standard simplex coefficients
@@ -31,8 +31,7 @@ class NelderMeadConfig:
         object.__setattr__(self, "initial_point", np.asarray(self.initial_point, dtype=float))
         if min(self.xatol, self.fatol) <= 0:
             raise ValueError("convergence tolerances must be positive")
-        if self.max_evals < 1:
-            raise ValueError("evaluation budget must be at least 1")
+        check_count("evaluation budget max_evals", self.max_evals, 1)
 
 
 @dataclass
@@ -164,9 +163,8 @@ def optimize_misfit(
     if stagnation is not None:
         if adaptive is None:
             raise ValueError("adaptive tolerance needs an adaptive model")
-        eps0 = stagnation.eps0 if stagnation.eps0 is not None else l2_time_norm(reference)
-        adaptive.eps = float(eps0)
-        detector = StagnationDetector(stagnation, eps0)
+        adaptive.eps = stagnation.eps0 if stagnation.eps0 is not None else l2_time_norm(reference)
+        detector = StagnationDetector(stagnation)
 
     records = []
     pending_refresh = [False]
@@ -181,12 +179,11 @@ def optimize_misfit(
         if rec is not None:
             rec.value = value
             records.append(rec)
-        if detector is not None:
-            new_eps = detector.update(value)
-            if new_eps is not None:
-                dropped = apply_tolerance_drop(adaptive, new_eps)
-                events.append({"eval_index": len(records), "eps": new_eps, "dropped": dropped})
-                pending_refresh[0] = True
+        if detector is not None and detector.update(value):
+            new_eps = adaptive.eps / stagnation.divisor
+            dropped = apply_tolerance_drop(adaptive, new_eps)
+            events.append({"eval_index": len(records), "eps": new_eps, "dropped": dropped})
+            pending_refresh[0] = True
         return value
 
     def values_invalidated():

@@ -41,6 +41,19 @@ def small_reactive_problem():
     return build_reactive_flow(ReactiveFlowConfig(nx=20, ny=8, num_time_nodes=101))
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Patch owner.name to record each call before delegating; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 def scalar_problem(a=1.0, load=0.0, u0=1.0, num_nodes=11, t_end=1.0):
     """One-DoF analogue: m = 1, a(.,.;mu) = a * mu_0, l = load; useful for
     closed-form recursions."""

@@ -4,12 +4,17 @@ import pytest
 from certrom import (
     FullOrderModel,
     HapodConfig,
+    NumericalError,
     StagnationConfig,
     StagnationDetector,
+    VkogaGenerator,
     apply_tolerance_drop,
     l2_time_norm,
     make_adaptive_model,
 )
+from certrom import kernels
+from certrom.rb import RbRom
+from conftest import count_calls
 
 
 @pytest.fixture()
@@ -96,34 +101,48 @@ class TestEvalState:
 class TestStagnation:
     def test_steep_descent_never_fires(self):
         cfg = StagnationConfig(n_av=4, n_stag=5, eps_slope=-1e-15, eps_slope_rel=5e-5)
-        det = StagnationDetector(cfg, eps0=1.0)
+        det = StagnationDetector(cfg)
         for k in range(60):
-            assert det.update(10.0 * 0.8**k) is None
+            assert det.update(10.0 * 0.8**k) is False
 
     def test_constant_objective_fires_after_exact_count(self):
         n_av, n_stag = 4, 5
         cfg = StagnationConfig(n_av=n_av, n_stag=n_stag, eps_slope=1e-12, eps_slope_rel=1e-12)
-        det = StagnationDetector(cfg, eps0=1.0)
+        det = StagnationDetector(cfg)
         fired_at = None
         for k in range(1, 50):
-            if det.update(3.0) is not None:
+            if det.update(3.0):
                 fired_at = k
                 break
         # slope checks start once 2 n_av - 1 values exist; the drop needs
         # n_stag + 1 consecutive qualifying evaluations
         assert fired_at == (2 * n_av - 1) + n_stag
-        assert det.eps == pytest.approx(0.1)
 
     def test_history_reset_after_drop(self):
         cfg = StagnationConfig(n_av=3, n_stag=2, eps_slope=1e-12, eps_slope_rel=1e-12)
-        det = StagnationDetector(cfg, eps0=1.0)
-        drops = [k for k in range(40) if det.update(1.0) is not None]
+        det = StagnationDetector(cfg)
+        drops = [k for k in range(40) if det.update(1.0)]
         assert len(drops) >= 2
         assert drops[1] - drops[0] == (2 * 3 - 1) + 2
 
+    @pytest.mark.parametrize("n_av", [1, 2.5, True], ids=["one", "fraction", "bool"])
+    def test_average_width_must_be_a_count(self, n_av):
+        with pytest.raises(ValueError, match="n_av must be an integer >= 2"):
+            StagnationConfig(n_av=n_av)
+
+    @pytest.mark.parametrize("n_stag", [-1, 2.5, True], ids=["negative", "fraction", "bool"])
+    def test_stagnation_count_must_be_a_count(self, n_stag):
+        with pytest.raises(ValueError, match="n_stag must be an integer >= 0"):
+            StagnationConfig(n_av=2, n_stag=n_stag)
+
+    @pytest.mark.parametrize("divisor", [1.0, np.nan], ids=["one", "nan"])
+    def test_divisor_must_exceed_one(self, divisor):
+        with pytest.raises(ValueError, match="divisor must exceed 1"):
+            StagnationConfig(n_av=2, divisor=divisor)
+
     def test_normalized_criterion_uses_initial_objective(self):
         cfg = StagnationConfig(n_av=3, n_stag=3, eps_slope=-1e-15, eps_slope_rel=5e-5)
-        det = StagnationDetector(cfg, eps0=1.0)
+        det = StagnationDetector(cfg)
         det.update(100.0)  # initial objective pins the normalization
         assert det.initial_objective == 100.0
 
@@ -212,6 +231,14 @@ class TestToleranceDrop:
         assert rec.delta_rb <= model.eps
         assert len(model.rb_generator.training_parameters) == 1
 
+    @pytest.mark.parametrize("new_eps", [0.0, -1.0], ids=["zero", "negative"])
+    def test_drop_to_a_nonpositive_tolerance_rejected(self, heat_problem, model, new_eps):
+        model.query(np.array([1.3, 0.8]))
+        events = list(model.events)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            apply_tolerance_drop(model, new_eps)
+        assert model.eps == 1e-2 and model.events == events
+
     def test_drop_must_tighten(self, heat_problem, model):
         with pytest.raises(ValueError):
             apply_tolerance_drop(model, model.eps * 2)
@@ -240,7 +267,7 @@ class TestDegradedLearnedModel:
         fom = FullOrderModel(heat_problem)
         rb_gen = RbGenerator(fom, eps=1e-3)
         ml_gen = VkogaGenerator(rb_gen.precompute(), KernelConfig(max_centers=2))
-        model = AdaptiveModel(fom, rb_gen, ml_gen, eps=1e-3)
+        model = AdaptiveModel(rb_gen, ml_gen)
         rng = np.random.default_rng(31)
         for _ in range(12):
             mu = heat_problem.box.sample(rng)
@@ -291,3 +318,112 @@ class TestTemporalPath:
         assert len(saturated) >= 8
         assert all(q[1:] == (2, 0) for q in saturated)  # the ML and the RB estimate
         assert all(q[2] <= 1 for q in rb_queries if q[0])
+
+
+def faulty(monkeypatch, owner, name, fires):
+    """Patch owner.name to raise NumericalError("injected fault") on the calls
+    for which fires(*args) holds; returns the list of fired calls."""
+    original = getattr(owner, name)
+    fired = []
+
+    def wrapped(*args, **kwargs):
+        if fires(*args):
+            fired.append(args)
+            raise NumericalError("injected fault")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return fired
+
+
+def streamed_parameters(monkeypatch, fom):
+    """Record each parameter whose full-order trajectory ``fom`` streamed to
+    its end."""
+    streamed = []
+    original = fom.iter_state
+
+    def iter_state(mu):
+        yield from original(mu)
+        streamed.append(np.array(mu, dtype=float))
+
+    monkeypatch.setattr(fom, "iter_state", iter_state)
+    return streamed
+
+
+def assert_still_answers(model, problem, streamed, seed):
+    """The next queries answer within eps of fresh full-order solves, the
+    learned tier is carried on the current reduced model, and every training
+    parameter had its trajectory streamed."""
+    audit = FullOrderModel(problem)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        mu = problem.box.sample(rng)
+        signal, _ = model.query(mu)
+        assert l2_time_norm(audit.eval_output(mu) - signal) <= model.eps * (1 + 1e-10)
+        assert model.ml_rom.rb_rom.dim == model.rb_rom.dim
+    for mu in model.rb_generator.training_parameters:
+        assert any(np.array_equal(mu, done) for done in streamed)
+
+
+class TestRaisedQueryLeavesAWorkingModel:
+    """A fault at any raise point of a query leaves a model whose next
+    queries answer, certified, from consistent state."""
+
+    def test_full_order_solve_fault(self, heat_problem, monkeypatch):
+        model = make_adaptive_model(heat_problem, eps=1e-6)
+        fom = model.rb_generator.fom
+        bad = np.array([1.3, 0.8])
+        streamed = streamed_parameters(monkeypatch, fom)
+        faulty(monkeypatch, fom, "iter_state", lambda mu: np.array_equal(mu, bad))
+        with pytest.raises(NumericalError, match="injected fault"):
+            model.query(bad)
+        assert model.rb_generator.training_parameters == []
+        signal, rec = model.query(np.array([0.6, 1.9]))  # a full-order query does not re-stream bad
+        assert rec.tier == "fom"
+        assert_still_answers(model, heat_problem, streamed, seed=40)
+
+    def test_enrichment_certification_fault(self, heat_problem, monkeypatch):
+        # precompute sees an estimate above eps at bad however often it
+        # re-streams it, and gives up
+        model = make_adaptive_model(heat_problem, eps=1e-4)
+        streamed = streamed_parameters(monkeypatch, model.rb_generator.fom)
+        bad = np.array([1.3, 0.8])
+        original = RbRom.est_output
+        monkeypatch.setattr(
+            RbRom, "est_output", lambda rom, mu: 10 * model.eps if np.array_equal(mu, bad) else original(rom, mu)
+        )
+        with pytest.raises(NumericalError, match="enrichment failed"):
+            model.query(bad)
+        assert len(model.rb_generator.training_parameters) == 1
+        assert_still_answers(model, heat_problem, streamed, seed=41)
+
+    def test_post_enrichment_attempt_fault(self, heat_problem, monkeypatch):
+        model = make_adaptive_model(heat_problem, eps=1e-4)
+        streamed = streamed_parameters(monkeypatch, model.rb_generator.fom)
+        prolonged = count_calls(monkeypatch, VkogaGenerator, "prolong")
+        original = RbRom.est_output_for
+        rejected = []
+
+        def estimate(rom, *args):
+            # the first estimate after the learned tier is carried onto the
+            # enriched model is the post-enrichment RB attempt's: fail it
+            if prolonged and not rejected:
+                rejected.append(args)
+                return 10 * model.eps
+            return original(rom, *args)
+
+        monkeypatch.setattr(RbRom, "est_output_for", estimate)
+        with pytest.raises(NumericalError, match="enrichment failed"):
+            model.query(np.array([1.3, 0.8]))
+        assert model.rb_rom.dim > 0
+        assert_still_answers(model, heat_problem, streamed, seed=42)
+
+    def test_learned_refit_fault(self, heat_problem, monkeypatch):
+        model = make_adaptive_model(heat_problem, eps=1e-4)
+        streamed = streamed_parameters(monkeypatch, model.rb_generator.fom)
+        fired = faulty(monkeypatch, kernels, "vkoga_fit", lambda *args: not fired)
+        with pytest.raises(NumericalError, match="injected fault"):
+            model.query(np.array([1.3, 0.8]))
+        assert len(fired) == 1
+        assert model.records == []
+        assert_still_answers(model, heat_problem, streamed, seed=43)

@@ -19,19 +19,7 @@ from certrom.app import telemetry_header
 from certrom import cli as cli_module
 from certrom.cli import cli
 from certrom.fom import FullOrderModel
-
-
-def count_calls(monkeypatch, owner, name) -> list:
-    """Patch owner.name to record each call before delegating; returns the record."""
-    calls = []
-    original = getattr(owner, name)
-
-    def recorded(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, recorded)
-    return calls
+from conftest import count_calls
 
 
 class TestMonteCarlo:
@@ -63,6 +51,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(model, 1, window=(0.5, 1.0))
 
+    def test_sample_count_must_be_an_integer(self, heat_problem):
+        model = make_adaptive_model(heat_problem, eps=1e-2, ml_backend="vkoga")
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 2"):
+            monte_carlo(model, 2.5, window=(0.5, 1.0))
+        assert model.records == []
+
+    def test_nonpositive_tolerance_rejected_before_any_solve(self, heat_problem, monkeypatch):
+        solves = count_calls(monkeypatch, FullOrderModel, "iter_state")
+        for eps in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                make_adaptive_model(heat_problem, eps=eps)
+        assert solves == []
+
     def test_empty_window_rejected_before_any_query(self, heat_problem):
         model = make_adaptive_model(heat_problem, eps=1e-2, ml_backend="vkoga")
         with pytest.raises(ValueError, match="empty time window"):
@@ -76,6 +77,19 @@ class TestBatchThreshold:
     def test_bad_threshold_rejected(self, heat_problem, threshold):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             make_adaptive_model(heat_problem, eps=1e-2, retrain="batch", batch_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0, 2.9, True], ids=["zero", "fraction", "bool"])
+    def test_bad_threshold_rejected_whatever_the_policy(self, heat_problem, threshold):
+        with pytest.raises(ValueError, match="batch_threshold must be an integer >= 1"):
+            make_adaptive_model(heat_problem, eps=1e-2, retrain="per_extend", batch_threshold=threshold)
+
+    def test_threshold_error_names_the_config_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, retrain="per_extend", batch_threshold=0)
+        code = cli([
+            "solve", "--config", cfg, "--model", "adaptive", "--mu", "1.0,1.5", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert "usage error: batch_threshold must be an integer >= 1" in capsys.readouterr().err
 
     def test_fractional_threshold_is_a_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, retrain="batch", batch_threshold=2.9)
@@ -253,6 +267,21 @@ class TestCli:
         assert "usage error" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "mc" / "mc.json")
         assert solves == [] and builds == []  # rejected before the model is built
+
+    def test_fractional_n_mc_is_rejected_before_the_model_is_built(self, tmp_path, capsys, monkeypatch):
+        builds = count_calls(monkeypatch, app, "make_adaptive_model")
+        code = cli(["mc", "--config", write_config(tmp_path, n_mc=10.5), "--out", str(tmp_path / "mc")])
+        assert code == 1
+        assert "usage error: n_mc must be an integer >= 2" in capsys.readouterr().err
+        assert builds == []
+
+    @pytest.mark.parametrize("command", ["mc", "optimize", "validate"])
+    def test_negative_eps_is_a_usage_error_before_any_solve(self, tmp_path, capsys, monkeypatch, command):
+        solves = count_calls(monkeypatch, FullOrderModel, "iter_state")
+        code = cli([command, "--config", write_config(tmp_path), "--eps", "-1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "usage error: eps must be positive, got -1.0" in capsys.readouterr().err
+        assert solves == []
 
     def test_stagnation_settings_reach_the_optimizer(self, tmp_path, monkeypatch):
         seen = []

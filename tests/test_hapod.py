@@ -111,6 +111,11 @@ class TestIncrementalHapod:
         eye = modes.T @ (g @ modes)
         assert np.max(np.abs(eye - np.eye(modes.shape[1]))) <= 1e-10
 
+    @pytest.mark.parametrize("chunk", [0, 2.5, True], ids=["zero", "fraction", "bool"])
+    def test_chunk_must_be_a_count(self, chunk):
+        with pytest.raises(ValueError, match="chunk must be an integer >= 1"):
+            HapodConfig(1e-6, chunk=chunk)
+
     def test_feed_after_finalize_rejected(self):
         g = sp.identity(3, format="csr")
         h = IncrementalHapod(g, HapodConfig(1e-6, chunk=2), n_expected=2)
@@ -130,6 +135,35 @@ class TestRbGenerator:
         rom = gen.precompute()
         for mu in gen.training_parameters:
             assert rom.est_output(mu) <= 1e-4
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_tolerance_must_be_positive(self, heat_problem, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            RbGenerator(FullOrderModel(heat_problem), eps=eps)
+        gen = RbGenerator(FullOrderModel(heat_problem), eps=np.inf)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            gen.eps = eps
+        assert gen.eps == np.inf
+
+    def test_failed_stream_records_no_parameter(self, heat_problem, monkeypatch):
+        fom = FullOrderModel(heat_problem)
+        gen = RbGenerator(fom, eps=1e-3)
+        gen.extend([0.6, 0.6])
+        rom = gen.precompute()
+
+        real_iter_state = fom.iter_state
+
+        def failing_iter_state(mu):  # fails three steps into the solve
+            for k, row in enumerate(real_iter_state(mu)):
+                if k == 3:
+                    raise NumericalError("singular system")
+                yield row
+
+        monkeypatch.setattr(fom, "iter_state", failing_iter_state)
+        with pytest.raises(NumericalError):
+            gen.extend([1.9, 1.9])
+        assert len(gen.training_parameters) == 1
+        assert gen.precompute().dim == rom.dim
 
     def test_nested_bases(self, heat_problem):
         fom = FullOrderModel(heat_problem)

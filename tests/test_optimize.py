@@ -59,6 +59,11 @@ class TestNelderMead:
         with pytest.raises(ValueError, match="budget"):
             NelderMeadConfig(initial_point=[4.0, 4.0], max_evals=0)
 
+    @pytest.mark.parametrize("budget", [2.5, True], ids=["fraction", "bool"])
+    def test_budget_must_be_a_count(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            NelderMeadConfig(initial_point=[4.0, 4.0], max_evals=budget)
+
 
 class TestOptimizeMisfit:
     def test_start_at_reference_parameter(self, heat_problem):
