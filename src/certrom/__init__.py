@@ -26,6 +26,7 @@ from .fem import (
     AffineOperator,
     BoundarySegment,
     DirichletLifting,
+    EnergyFactor,
     FieldRaster,
     FunctionalComponent,
     OperatorComponent,
@@ -72,7 +73,6 @@ from .problems import (
 )
 from .rb import (
     RbRom,
-    RieszSolver,
     SpannedTrajectory,
     TemporalBasis,
     assemble_rb_rom,

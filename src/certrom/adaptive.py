@@ -196,6 +196,8 @@ class StagnationConfig:
         check_count("n_stag", self.n_stag, 0)
         if not self.divisor > 1.0:  # also rejects NaN
             raise ValueError("tolerance divisor must exceed 1")
+        if not (np.isfinite(self.eps_slope) and np.isfinite(self.eps_slope_rel)):
+            raise ValueError("descent-rate thresholds must be finite")
 
 
 class StagnationDetector:

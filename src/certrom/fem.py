@@ -476,10 +476,35 @@ def apply_dirichlet_shift(
     return AffineOperator(tuple(new_ops)), AffineFunctional(tuple(new_rhs), n)
 
 
+class EnergyFactor:
+    """P G P^T = L D L^T of an SPD Gram G from one sparse LU in symmetric mode,
+    kept as plain arrays: the order of P, the unit lower L and D^-1/2.
+    ``whiten`` maps functionals F to D^-1/2 L^-1 P F, whose Euclidean inner
+    products are F^T G^-1 F: a dual norm is a Euclidean norm of them."""
+
+    def __init__(self, gram):
+        try:
+            lu = spla.splu(gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise NumericalError("energy product not SPD") from exc
+        pivots = lu.U.diagonal()
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0.0)):
+            raise NumericalError("energy product not SPD")
+        self.order = np.argsort(lu.perm_r)  # (P F)[i] = F[order[i]]
+        self.lower = lu.L  # CSC, which spsolve_triangular takes without a transpose
+        self.inv_sqrt_pivots = 1.0 / np.sqrt(pivots)
+
+    def whiten(self, functionals: np.ndarray) -> np.ndarray:
+        """D^-1/2 L^-1 P F for one functional or a block of them (columns)."""
+        solved = spla.spsolve_triangular(self.lower, functionals[self.order], lower=True, unit_diagonal=True)
+        return solved * (self.inv_sqrt_pivots if solved.ndim == 1 else self.inv_sqrt_pivots[:, None])
+
+
 def energy_product(op: AffineOperator, mu_bar) -> sp.csr_matrix:
     """Gram matrix of the energy inner product: the symmetric operator part at mu_bar.
 
-    SPD is verified through an unpivoted LU factorization; failure raises.
+    SPD is verified by building its EnergyFactor; failure raises.
     """
     acc = None
     for theta, c in zip(op.thetas(mu_bar).tolist(), op.components):
@@ -490,10 +515,5 @@ def energy_product(op: AffineOperator, mu_bar) -> sp.csr_matrix:
     if acc is None:
         raise ValueError("operator has no symmetric components")
     gram = acc.tocsr()
-    try:
-        lu = spla.splu(gram.tocsc(), diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A")
-        if not np.all(lu.U.diagonal() > 0.0):
-            raise NumericalError("energy product not SPD")
-    except RuntimeError as exc:
-        raise NumericalError("energy product not SPD") from exc
+    EnergyFactor(gram)
     return gram

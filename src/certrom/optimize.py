@@ -29,7 +29,7 @@ class NelderMeadConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "initial_point", np.asarray(self.initial_point, dtype=float))
-        if min(self.xatol, self.fatol) <= 0:
+        if not (self.xatol > 0 and self.fatol > 0):  # also rejects NaN
             raise ValueError("convergence tolerances must be positive")
         check_count("evaluation budget max_evals", self.max_evals, 1)
 

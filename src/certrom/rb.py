@@ -16,11 +16,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import NumericalError, OutputSignal, Trajectory, check_count
-from .fem import AffineFunctional, AffineOperator
+from .fem import AffineFunctional, AffineOperator, EnergyFactor
 from .fom import FomProblem
 
 TEMPORAL_TOL = 1e-12  # relative Frobenius tail the learned samples' temporal basis leaves out
@@ -29,27 +27,10 @@ TEMPORAL_TOL = 1e-12  # relative Frobenius tail the learned samples' temporal ba
 TAIL_SHARE = 1e-3
 
 
-class RieszSolver:
-    """Riesz representatives and dual norms w.r.t. one SPD Gram matrix."""
-
-    def __init__(self, gram):
-        try:
-            self._solver = spla.splu(gram.tocsc())
-        except RuntimeError as exc:
-            raise NumericalError("Gram matrix factorization failed") from exc
-
-    def solve(self, functional: np.ndarray) -> np.ndarray:
-        """Representative of one functional, or one column per column of a block."""
-        return self._solver.solve(functional)
-
-    def dual_norm(self, functional: np.ndarray) -> float:
-        rep = self.solve(functional)
-        return float(np.sqrt(max(functional @ rep, 0.0)))
-
-
-def orthonormalize(vectors, gram, existing: Optional[np.ndarray] = None, drop_tol: float = 1e-10):
-    """Two-pass Gram-Schmidt of the columns w.r.t. the Gram inner product,
-    against an optional existing orthonormal set.
+def orthonormalize(vectors, gram=None, existing: Optional[np.ndarray] = None, drop_tol: float = 1e-10):
+    """Two-pass Gram-Schmidt of the columns w.r.t. the Gram inner product (the
+    Euclidean one when ``gram`` is None), against an optional existing
+    orthonormal set.
 
     Each column is projected twice against [existing | the new directions of
     the columns before it]. The first pass against the existing set does not
@@ -67,7 +48,7 @@ def orthonormalize(vectors, gram, existing: Optional[np.ndarray] = None, drop_to
         cols = cols[:, None]
     num_old = 0 if existing is None else existing.shape[1]
     coords = np.zeros((num_old + cols.shape[1], cols.shape[1]))
-    weighted = gram @ cols
+    weighted = cols if gram is None else gram @ cols
     origs = np.sqrt(np.maximum(np.einsum("ij,ij->j", cols, weighted), 0.0))
     if num_old:
         coords[:num_old] = existing.T @ weighted
@@ -84,10 +65,10 @@ def orthonormalize(vectors, gram, existing: Optional[np.ndarray] = None, drop_to
         else:
             blocks = blocks * 2
         for offset, block in blocks:
-            c = block.T @ (gram @ v)
+            c = block.T @ (v if gram is None else gram @ v)
             v = v - block @ c
             coords[offset : offset + c.size, j] += c
-        norm = math.sqrt(max(v @ (gram @ v), 0.0))
+        norm = math.sqrt(max(v @ (v if gram is None else gram @ v), 0.0))
         if norm < drop_tol * orig:
             continue
         coords[num_old + count, j] = norm
@@ -101,11 +82,11 @@ class EstimatorData:
     """Online data of the residual estimator.
 
     Each member of the residual component family has a row of coordinates of
-    its Riesz representative in an orthonormal basis of the representative
-    range (r directions), kept by block: the rhs components F_L (Q_l x r),
-    the mass matrix on the basis columns F_M (n x r), and each operator
-    component on the basis columns F_A (Q x n x r). A residual dual norm is
-    the Euclidean norm of gamma @ [F_L; F_M; F_A].
+    its whitened form (see EnergyFactor) in an orthonormal basis of the
+    whitened range (r directions), kept by block: the rhs components F_L
+    (Q_l x r), the mass matrix on the basis columns F_M (n x r), and each
+    operator component on the basis columns F_A (Q x n x r). A residual dual
+    norm is the Euclidean norm of gamma @ [F_L; F_M; F_A].
     """
 
     rhs_rows: np.ndarray
@@ -294,9 +275,9 @@ class RbRom:
 
 class EstimatorBuilder:
     """Incrementally maintained coordinate factor of the residual component
-    family: each Riesz representative is projected onto a growing orthonormal
-    basis of the representative range, so dual norms of residual combinations
-    are plain Euclidean norms of coordinate combinations.
+    family: each functional, whitened by the Gram's EnergyFactor, is projected
+    onto a growing orthonormal basis of the whitened range, so dual norms of
+    residual combinations are plain Euclidean norms of coordinate combinations.
 
     Squared Gram entries never enter; exact cancellations therefore survive
     far below the square root of machine precision, which the
@@ -305,26 +286,25 @@ class EstimatorBuilder:
 
     def __init__(self, problem: FomProblem):
         self.problem = problem
-        self.riesz = RieszSolver(problem.gram)
-        self._range = np.zeros((problem.dim, 0))  # G-orthonormal columns
+        self.energy = EnergyFactor(problem.gram)
+        self._range = np.zeros((problem.dim, 0))  # orthonormal columns, whitened coordinates
         # coordinate rows by block: F_L, F_M and F_A (see EstimatorData)
         self._rhs = np.zeros((0, 0))
         self._mass = np.zeros((0, 0))
         self._operator = np.zeros((len(problem.operator.components), 0, 0))
-        rhs_vectors = problem.rhs.vectors()
-        if rhs_vectors.shape[1]:
-            self._rhs = self._append(rhs_vectors)
-        self.output_dual_norm = self.riesz.dual_norm(problem.output)
+        whitened = self.energy.whiten(np.column_stack([problem.output, problem.rhs.vectors()]))
+        self.output_dual_norm = float(np.linalg.norm(whitened[:, 0]))
+        if whitened.shape[1] > 1:
+            self._rhs = self._append(whitened[:, 1:])
 
     _DEFLATION = 1e-13
 
-    def _append(self, vectors: np.ndarray) -> np.ndarray:
-        """Coordinate rows of the vectors' Riesz representatives in the range
-        grown by them; the stored rows are zero in the new range directions.
-        The blocks are rebound, never written in place, so every built
-        EstimatorData stays as it was."""
-        reps = self.riesz.solve(vectors)
-        new, coords = orthonormalize(reps, self.problem.gram, self._range, drop_tol=self._DEFLATION)
+    def _append(self, whitened: np.ndarray) -> np.ndarray:
+        """Coordinate rows of whitened vectors in the range grown by them; the
+        stored rows are zero in the new range directions. The blocks are
+        rebound, never written in place, so every built EstimatorData stays
+        as it was."""
+        new, coords = orthonormalize(whitened, existing=self._range, drop_tol=self._DEFLATION)
         self._range = np.hstack([self._range, new])
         grow = (0, new.shape[1])
         self._rhs = np.pad(self._rhs, ((0, 0), grow))
@@ -338,7 +318,7 @@ class EstimatorBuilder:
         p = self.problem
         count = new_columns.shape[1]
         images = [p.mass @ new_columns] + [comp.matrix @ new_columns for comp in p.operator.components]
-        rows = self._append(np.hstack(images))  # [M | A_1 | ... | A_Q] times the new columns
+        rows = self._append(self.energy.whiten(np.hstack(images)))  # [M | A_1 | ... | A_Q] times the new columns
         self._mass = np.vstack([self._mass, rows[:count]])
         self._operator = np.concatenate([self._operator, rows[count:].reshape(len(self._operator), count, -1)], axis=1)
 
@@ -350,7 +330,7 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
     """Galerkin-project the problem onto the basis and attach the estimator.
 
     A persistent ``builder`` makes repeated calls incremental in the expensive
-    Riesz/Gram work; without one, the estimator data is assembled from scratch.
+    whitening work; without one, the estimator data is assembled from scratch.
     """
     p = problem
     phi = np.asarray(basis_matrix, dtype=float)
@@ -622,9 +602,8 @@ class LearnedGenerator(abc.ABC):
         q, r = np.linalg.qr(missed)
         vectors, values, _ = np.linalg.svd(r, full_matrices=False)
         tails = np.sqrt(np.cumsum(values[::-1] ** 2))[::-1]  # tails[r]: norm of values[r:]
-        identity = sp.identity(coeffs.shape[0], format="csr")
         keep = int(np.sum(tails > bound))
-        new, _ = orthonormalize(q @ vectors[:, :keep], identity, existing=self.temporal.matrix)
+        new, _ = orthonormalize(q @ vectors[:, :keep], existing=self.temporal.matrix)
         old_shape = self._coordinate_shape
         self.temporal = self.temporal.grown(new)
         self._pad(old_shape, self._coordinate_shape)

@@ -140,6 +140,12 @@ class TestStagnation:
         with pytest.raises(ValueError, match="divisor must exceed 1"):
             StagnationConfig(n_av=2, divisor=divisor)
 
+    @pytest.mark.parametrize("name", ["eps_slope", "eps_slope_rel"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rate_thresholds_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            StagnationConfig(n_av=2, **{name: value})
+
     def test_normalized_criterion_uses_initial_objective(self):
         cfg = StagnationConfig(n_av=3, n_stag=3, eps_slope=-1e-15, eps_slope_rel=5e-5)
         det = StagnationDetector(cfg)

@@ -59,6 +59,15 @@ class TestNelderMead:
         with pytest.raises(ValueError, match="budget"):
             NelderMeadConfig(initial_point=[4.0, 4.0], max_evals=0)
 
+    @pytest.mark.parametrize(
+        "tolerances",
+        [{"xatol": 0.0}, {"fatol": -1e-7}, {"xatol": np.nan}, {"fatol": np.nan}],
+        ids=["xatol-zero", "fatol-negative", "xatol-nan", "fatol-nan"],
+    )
+    def test_tolerances_must_be_positive(self, tolerances):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            NelderMeadConfig(initial_point=[4.0, 4.0], **tolerances)
+
     @pytest.mark.parametrize("budget", [2.5, True], ids=["fraction", "bool"])
     def test_budget_must_be_a_count(self, budget):
         with pytest.raises(ValueError, match="budget"):

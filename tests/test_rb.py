@@ -12,6 +12,7 @@ from certrom import (
     AffineFunctional,
     AffineOperator,
     DnnGenerator,
+    EnergyFactor,
     FomProblem,
     FullOrderModel,
     NumericalError,
@@ -22,14 +23,17 @@ from certrom import (
     TrainConfig,
     Trajectory,
     VkogaGenerator,
+    assemble_diffusion,
+    assemble_mass,
     assemble_rb_rom,
+    build_grid,
     gram_schmidt,
     l2_time_norm,
 )
-from certrom.rb import TEMPORAL_TOL, RieszSolver, SpannedTrajectory, TemporalBasis
+from certrom.rb import TEMPORAL_TOL, SpannedTrajectory, TemporalBasis
 
 from conftest import scalar_problem
-from oracles import rb_residual_bruteforce, riesz_representative
+from oracles import rb_residual_bruteforce
 
 
 def snapshot_basis(problem, mus, drop_tol=1e-13):
@@ -41,15 +45,19 @@ def snapshot_basis(problem, mus, drop_tol=1e-13):
 
 
 class TestRiesz:
+    """Dual norms through the whitened coordinates of the energy factor."""
+
     def test_identity_gram(self):
         g = sp.identity(4, format="csr")
         f = np.array([1.0, -2.0, 0.5, 3.0])
-        assert np.allclose(riesz_representative(g, f), f)
+        whitened = EnergyFactor(g).whiten(f)
+        assert np.allclose(np.sort(whitened), np.sort(f))
 
     def test_zero_functional(self):
         g = sp.identity(3, format="csr")
-        assert np.allclose(riesz_representative(g, np.zeros(3)), 0.0)
-        assert RieszSolver(g).dual_norm(np.zeros(3)) == 0.0
+        whitened = EnergyFactor(g).whiten(np.zeros(3))
+        assert np.allclose(whitened, 0.0)
+        assert np.linalg.norm(whitened) == 0.0
 
     def test_dense_inverse_oracle(self):
         rng = np.random.default_rng(11)
@@ -58,7 +66,24 @@ class TestRiesz:
         g = sp.csr_matrix(g_dense)
         f = rng.normal(size=5)
         expected = np.sqrt(f @ np.linalg.inv(g_dense) @ f)
-        assert RieszSolver(g).dual_norm(f) == pytest.approx(expected, rel=1e-10)
+        assert np.linalg.norm(EnergyFactor(g).whiten(f)) == pytest.approx(expected, rel=1e-10)
+
+    def test_fill_reducing_order_pins_the_permutation(self):
+        """On a sparse Gram whose symmetric order is not the identity, the
+        whitened inner products are F^T G^-1 F."""
+        grid = build_grid((0.0, 1.0, 0.0, 1.0), 6, 5)
+        g = (assemble_diffusion(grid, np.ones(grid.num_cells)) + assemble_mass(grid)).tocsr()
+        factor = EnergyFactor(g)
+        assert not np.array_equal(factor.order, np.arange(grid.num_nodes))
+        rng = np.random.default_rng(12)
+        f = rng.normal(size=(grid.num_nodes, 3))
+        whitened = factor.whiten(f)
+        expected = f.T @ np.linalg.solve(g.toarray(), f)
+        assert np.allclose(whitened.T @ whitened, expected, rtol=1e-12, atol=0.0)
+
+    def test_indefinite_rejected(self):
+        with pytest.raises(NumericalError, match="not SPD"):
+            EnergyFactor(sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])))
 
 
 def _two_theta_operator():
