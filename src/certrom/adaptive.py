@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import blas
 from .core import NumericalError, OutputSignal, Trajectory, check_count
 from .rb import SpannedTrajectory
 
@@ -164,10 +165,12 @@ class AdaptiveModel:
         self.records.append(rec)
         return rec
 
+    @blas.scope()
     def query(self, mu):
         """Certified output signal plus the provenance record."""
         return self._query(mu, use_state_estimate=False)
 
+    @blas.scope()
     def query_state(self, mu):
         """Certified full-order (lifted) state trajectory plus the record."""
         return self._query(mu, use_state_estimate=True)

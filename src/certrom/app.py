@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import blas
 from .adaptive import AdaptiveModel, EvalRecord
 from .core import ConfigError, check_count, time_average, window_mask
 from .fom import FomProblem, FullOrderModel
@@ -61,6 +62,7 @@ class McReport:
     ml_fraction_per_window: list = field(default_factory=list)
 
 
+@blas.scope()
 def monte_carlo(model: AdaptiveModel, n_samples: int, window, seed: int = 0) -> McReport:
     """Uniformly sample the parameter box and estimate mean and unbiased
     variance of the window-averaged output with a one-pass update."""

@@ -210,9 +210,7 @@ def assemble_output_average(grid: StructuredGrid, region) -> np.ndarray:
     vec = np.zeros(grid.num_nodes)
     area = cells.size * grid.hx * grid.hy
     # integral of a bilinear function over a cell = cell area * mean of corner values
-    quarter = grid.hx * grid.hy / 4.0
-    for n in grid.cells[cells].ravel():
-        vec[n] += quarter
+    np.add.at(vec, grid.cells[cells].ravel(), grid.hx * grid.hy / 4.0)
     return vec / area
 
 
@@ -429,16 +427,20 @@ class DirichletLifting:
 
 
 def constrain_matrix(mat: sp.spmatrix, dofs: np.ndarray, diagonal: float) -> sp.csr_matrix:
-    """Zero the given rows and columns and put `diagonal` on their diagonal."""
-    n = mat.shape[0]
-    free = np.ones(n)
-    free[dofs] = 0.0
-    index = np.arange(n + 1)
-    keep = sp.csr_matrix((free, index[:-1], index), shape=mat.shape)
-    fixed = sp.csr_matrix(((1.0 - free) * diagonal, index[:-1], index), shape=mat.shape)
-    out = (keep @ sp.csr_matrix(mat) @ keep + fixed).tocsr()
+    """Zero the given rows and columns and put `diagonal` on their diagonal,
+    by masking the data of the canonical CSR form. A nonzero `diagonal` needs
+    the constrained diagonal entries stored, as every assembled matrix has them."""
+    out = sp.csr_matrix(mat, copy=True)
+    out.sum_duplicates()
+    fixed = np.zeros(out.shape[0], dtype=bool)
+    fixed[dofs] = True
+    rows = np.repeat(np.arange(out.shape[0]), np.diff(out.indptr))
+    out.data[fixed[rows] | fixed[out.indices]] = 0.0
+    on_diagonal = fixed[rows] & (rows == out.indices)
+    if diagonal != 0.0 and np.count_nonzero(on_diagonal) < np.count_nonzero(fixed):
+        raise ValueError("a constrained diagonal entry is not stored")
+    out.data[on_diagonal] = diagonal
     out.eliminate_zeros()
-    out.sort_indices()
     return out
 
 
@@ -478,11 +480,12 @@ def apply_dirichlet_shift(
 
 class EnergyFactor:
     """P G P^T = L D L^T of an SPD Gram G from one sparse LU in symmetric mode,
-    kept as plain arrays: the order of P, the unit lower L and D^-1/2.
-    ``whiten`` maps functionals F to D^-1/2 L^-1 P F, whose Euclidean inner
-    products are F^T G^-1 F: a dual norm is a Euclidean norm of them."""
+    kept as plain arrays with G itself: the order of P, the unit lower L and
+    D^-1/2. ``whiten`` maps functionals F to D^-1/2 L^-1 P F, whose Euclidean
+    inner products are F^T G^-1 F: a dual norm is a Euclidean norm of them."""
 
     def __init__(self, gram):
+        self.gram = gram
         try:
             lu = spla.splu(gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
@@ -501,10 +504,9 @@ class EnergyFactor:
         return solved * (self.inv_sqrt_pivots if solved.ndim == 1 else self.inv_sqrt_pivots[:, None])
 
 
-def energy_product(op: AffineOperator, mu_bar) -> sp.csr_matrix:
-    """Gram matrix of the energy inner product: the symmetric operator part at mu_bar.
-
-    SPD is verified by building its EnergyFactor; failure raises.
+def energy_product(op: AffineOperator, mu_bar) -> EnergyFactor:
+    """Factor of the energy inner product's Gram matrix (``.gram``): the
+    symmetric operator part at mu_bar. Factoring it verifies SPD; failure raises.
     """
     acc = None
     for theta, c in zip(op.thetas(mu_bar).tolist(), op.components):
@@ -514,6 +516,4 @@ def energy_product(op: AffineOperator, mu_bar) -> sp.csr_matrix:
         acc = term if acc is None else acc + term
     if acc is None:
         raise ValueError("operator has no symmetric components")
-    gram = acc.tocsr()
-    EnergyFactor(gram)
-    return gram
+    return EnergyFactor(acc.tocsr())

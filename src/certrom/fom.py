@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import blas
 from .core import NumericalError, OutputSignal, ParameterBox, TimeGrid, Trajectory
-from .fem import AffineFunctional, AffineOperator, DirichletLifting, StructuredGrid
+from .fem import AffineFunctional, AffineOperator, DirichletLifting, EnergyFactor, StructuredGrid
 
 
 @dataclass(frozen=True)
@@ -19,7 +20,8 @@ class FomProblem:
 
     The state lives on the homogeneous subspace: constrained DoFs stay zero,
     the physical solution is state + lifting. The output vector is the
-    constrained functional; `output_shift` carries s(lifting).
+    constrained functional; `output_shift` carries s(lifting). `energy` is
+    the one factor of the Gram: the builder's checked one, else made here.
     """
 
     operator: AffineOperator
@@ -35,6 +37,11 @@ class FomProblem:
     lifting: Optional[DirichletLifting] = None
     grid: Optional[StructuredGrid] = None
     parameter_names: tuple = ()
+    energy: Optional[EnergyFactor] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.energy is None or self.energy.gram is not self.gram:
+            object.__setattr__(self, "energy", EnergyFactor(self.gram))
 
     @property
     def dim(self) -> int:
@@ -79,6 +86,7 @@ class FullOrderModel:
                 raise NumericalError("FOM step singular")
             yield u
 
+    @blas.scope()
     def eval_state(self, mu) -> Trajectory:
         rows = list(self.iter_state(mu))
         return Trajectory(self.problem.time_grid, np.array(rows))

@@ -9,6 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import blas
 from .adaptive import AdaptiveModel, StagnationConfig, StagnationDetector, apply_tolerance_drop
 from .core import OutputSignal, ParameterBox, check_count, l2_time_norm, linf_time_norm
 
@@ -143,6 +144,7 @@ class OptimizeReport:
     tolerance_events: list = field(default_factory=list)
 
 
+@blas.scope()
 def optimize_misfit(
     model,
     reference: OutputSignal,

@@ -39,6 +39,7 @@ def _homogeneous_problem(grid, operator, rhs, lifting, output_raw, box, time_gri
     constrained DoFs: constrained mass and output, the lifting's output
     offset, and the energy product at the box centre; zero initial datum."""
     operator, rhs = apply_dirichlet_shift(operator, rhs, lifting)
+    energy = energy_product(operator, box.center)
     output = output_raw.copy()
     output[lifting.dofs] = 0.0
     return FomProblem(
@@ -47,7 +48,7 @@ def _homogeneous_problem(grid, operator, rhs, lifting, output_raw, box, time_gri
         rhs=rhs,
         output=output,
         time_grid=time_grid,
-        gram=energy_product(operator, box.center),
+        gram=energy.gram,
         mu_bar=box.center,
         box=box,
         initial=np.zeros(grid.num_nodes),
@@ -55,6 +56,7 @@ def _homogeneous_problem(grid, operator, rhs, lifting, output_raw, box, time_gri
         lifting=lifting,
         grid=grid,
         parameter_names=names,
+        energy=energy,
     )
 
 
@@ -264,13 +266,13 @@ def build_building(config: BuildingConfig = BuildingConfig()) -> FomProblem:
     rhs_components = []
     heater_offset = len(parametric_rects)
     quarter = grid.hx * grid.hy / 4.0
+    corners = grid.cells
     for j, rect in enumerate(cfg.heaters):
         vec = np.zeros(grid.num_nodes)
         cells = grid.cells_in_rectangle(rect)
         if cells.size == 0:
             raise ValueError(f"heater rectangle {rect} covers no cell")
-        for n in grid.cells[cells].ravel():
-            vec[n] += quarter
+        np.add.at(vec, corners[cells].ravel(), quarter)
         rhs_components.append(
             FunctionalComponent(
                 vec, parameter=heater_offset + j, ramp_rate=HEATER_RAMP_RATE, name=f"heater{j}"

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .core import NumericalError, OutputSignal, Trajectory, check_count
-from .fem import AffineFunctional, AffineOperator, EnergyFactor
+from .fem import AffineFunctional, AffineOperator
 from .fom import FomProblem
 
 TEMPORAL_TOL = 1e-12  # relative Frobenius tail the learned samples' temporal basis leaves out
@@ -275,7 +275,7 @@ class RbRom:
 
 class EstimatorBuilder:
     """Incrementally maintained coordinate factor of the residual component
-    family: each functional, whitened by the Gram's EnergyFactor, is projected
+    family: each functional, whitened by the problem's EnergyFactor, is projected
     onto a growing orthonormal basis of the whitened range, so dual norms of
     residual combinations are plain Euclidean norms of coordinate combinations.
 
@@ -286,13 +286,12 @@ class EstimatorBuilder:
 
     def __init__(self, problem: FomProblem):
         self.problem = problem
-        self.energy = EnergyFactor(problem.gram)
         self._range = np.zeros((problem.dim, 0))  # orthonormal columns, whitened coordinates
         # coordinate rows by block: F_L, F_M and F_A (see EstimatorData)
         self._rhs = np.zeros((0, 0))
         self._mass = np.zeros((0, 0))
         self._operator = np.zeros((len(problem.operator.components), 0, 0))
-        whitened = self.energy.whiten(np.column_stack([problem.output, problem.rhs.vectors()]))
+        whitened = problem.energy.whiten(np.column_stack([problem.output, problem.rhs.vectors()]))
         self.output_dual_norm = float(np.linalg.norm(whitened[:, 0]))
         if whitened.shape[1] > 1:
             self._rhs = self._append(whitened[:, 1:])
@@ -318,7 +317,7 @@ class EstimatorBuilder:
         p = self.problem
         count = new_columns.shape[1]
         images = [p.mass @ new_columns] + [comp.matrix @ new_columns for comp in p.operator.components]
-        rows = self._append(self.energy.whiten(np.hstack(images)))  # [M | A_1 | ... | A_Q] times the new columns
+        rows = self._append(p.energy.whiten(np.hstack(images)))  # [M | A_1 | ... | A_Q] times the new columns
         self._mass = np.vstack([self._mass, rows[:count]])
         self._operator = np.concatenate([self._operator, rows[count:].reshape(len(self._operator), count, -1)], axis=1)
 

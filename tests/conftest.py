@@ -22,6 +22,7 @@ from certrom import (
     FomProblem,
     FunctionalComponent,
     HeatSquareConfig,
+    NumericalError,
     OperatorComponent,
     ParameterBox,
     TimeGrid,
@@ -52,6 +53,22 @@ def count_calls(monkeypatch, owner, name) -> list:
 
     monkeypatch.setattr(owner, name, recorded)
     return calls
+
+
+def faulty(monkeypatch, owner, name, fires):
+    """Patch owner.name to raise NumericalError("injected fault") on the calls
+    for which fires(*args) holds; returns the list of fired calls."""
+    original = getattr(owner, name)
+    fired = []
+
+    def wrapped(*args, **kwargs):
+        if fires(*args):
+            fired.append(args)
+            raise NumericalError("injected fault")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return fired
 
 
 def scalar_problem(a=1.0, load=0.0, u0=1.0, num_nodes=11, t_end=1.0):

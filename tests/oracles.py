@@ -2,6 +2,7 @@
 slow or redundant by design and are not part of the certrom API."""
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from certrom import FomProblem, MlpParams, Trajectory
@@ -137,3 +138,18 @@ def mlp_train_allocating(x, y, sizes, config, warm_start=None, dtype=np.float32)
         if run_best_val < best_val:
             best_val, best = run_best_val, run_best
     return best, epochs, best_val
+
+
+def constrain_matrix_products(mat, dofs, diagonal: float) -> sp.csr_matrix:
+    """``fem.constrain_matrix`` as sparse products: K A K + diagonal * (I - K),
+    with K the diagonal 0/1 matrix of the free DoFs."""
+    n = mat.shape[0]
+    free = np.ones(n)
+    free[dofs] = 0.0
+    index = np.arange(n + 1)
+    keep = sp.csr_matrix((free, index[:-1], index), shape=mat.shape)
+    fixed = sp.csr_matrix(((1.0 - free) * diagonal, index[:-1], index), shape=mat.shape)
+    out = (keep @ sp.csr_matrix(mat) @ keep + fixed).tocsr()
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out

@@ -14,7 +14,7 @@ from certrom import (
 )
 from certrom import kernels
 from certrom.rb import RbRom
-from conftest import count_calls
+from conftest import count_calls, faulty
 
 
 @pytest.fixture()
@@ -324,22 +324,6 @@ class TestTemporalPath:
         assert len(saturated) >= 8
         assert all(q[1:] == (2, 0) for q in saturated)  # the ML and the RB estimate
         assert all(q[2] <= 1 for q in rb_queries if q[0])
-
-
-def faulty(monkeypatch, owner, name, fires):
-    """Patch owner.name to raise NumericalError("injected fault") on the calls
-    for which fires(*args) holds; returns the list of fired calls."""
-    original = getattr(owner, name)
-    fired = []
-
-    def wrapped(*args, **kwargs):
-        if fires(*args):
-            fired.append(args)
-            raise NumericalError("injected fault")
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapped)
-    return fired
 
 
 def streamed_parameters(monkeypatch, fom):

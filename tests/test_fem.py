@@ -271,13 +271,13 @@ class TestEnergyProduct:
         grid = build_grid((0, 1, 0, 1), 2, 2)
         m = assemble_mass(grid)
         op = AffineOperator((OperatorComponent(m, symmetric=True),))
-        g = energy_product(op, np.array([1.0]))
+        g = energy_product(op, np.array([1.0])).gram
         assert np.allclose(g.toarray(), m.toarray())
 
     def test_matches_symmetric_sum_definition(self):
         grid, op, rhs = _toy_shift_setup()
         mu_bar = np.array([2.5])
-        g = energy_product(op, mu_bar)
+        g = energy_product(op, mu_bar).gram
         rng = np.random.default_rng(5)
         v = rng.normal(size=grid.num_nodes)
         thetas = op.thetas(mu_bar)
@@ -287,7 +287,7 @@ class TestEnergyProduct:
     def test_small_case_eigenvalues_positive(self):
         mats = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
         op = AffineOperator((OperatorComponent(mats, symmetric=True),))
-        g = energy_product(op, np.zeros(1))
+        g = energy_product(op, np.zeros(1)).gram
         assert np.all(np.linalg.eigvalsh(g.toarray()) > 0)
 
     def test_indefinite_rejected(self):

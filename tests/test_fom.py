@@ -91,6 +91,14 @@ class TestProperties:
         energies = [row @ (mass @ row) for row in traj.coeffs]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(energies[:-1], energies[1:]))
 
+    def test_hand_built_problem_factors_its_gram(self):
+        p = scalar_problem(a=2.0)
+        assert p.energy.gram is p.gram
+        assert dataclasses.replace(p, initial=np.array([0.5])).energy is p.energy
+        other = dataclasses.replace(p, gram=4.0 * p.gram)
+        assert other.energy.gram is other.gram
+        assert np.linalg.norm(other.energy.whiten(np.array([4.0]))) == pytest.approx(4.0 / np.sqrt(8.0))
+
     def test_outside_box_rejected(self, heat_problem):
         fom = FullOrderModel(heat_problem)
         with pytest.raises(ValueError):

@@ -2,16 +2,23 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import certrom.fem
+import certrom.problems
 from certrom import (
     BuildingConfig,
     ConfigError,
+    EnergyFactor,
     FullOrderModel,
     ReactiveFlowConfig,
     build_building,
+    build_heat_square,
     build_reactive_flow,
     from_config,
+    make_adaptive_model,
 )
 from certrom.fem import assemble_advection, assemble_diffusion, assemble_reaction
+from conftest import count_calls
+from oracles import constrain_matrix_products
 
 
 class TestReactiveFlow:
@@ -232,3 +239,47 @@ class TestCustomFloorPlanFromJson:
         fom = FullOrderModel(problem)
         sig = fom.eval_output(problem.box.center)
         assert np.isfinite(sig.values).all()
+
+
+class TestSetUpWork:
+    """Set-up constrains without sparse products and factors the energy Gram
+    once, with bit-identical problems."""
+
+    BUILDERS = (build_reactive_flow, build_building, build_heat_square)
+
+    def test_masked_constraints_match_the_product_form_byte_for_byte(self, monkeypatch):
+        masked = [build() for build in self.BUILDERS]
+        monkeypatch.setattr(certrom.fem, "constrain_matrix", constrain_matrix_products)
+        monkeypatch.setattr(certrom.problems, "constrain_matrix", constrain_matrix_products)
+        for problem, build in zip(masked, self.BUILDERS):
+            reference = build()
+            for p, q in zip(self._matrices(problem), self._matrices(reference), strict=True):
+                for a, b in ((p.indptr, q.indptr), (p.indices, q.indices), (p.data, q.data)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def _matrices(problem):
+        return [c.matrix for c in problem.operator.components] + [problem.mass, problem.gram]
+
+    def test_building_loads_match_the_per_node_sums(self):
+        cfg = BuildingConfig()
+        problem = build_building(cfg)
+        grid = problem.grid
+        quarter = grid.hx * grid.hy / 4.0
+        expected = []
+        for rect in cfg.heaters + (cfg.room,):
+            vec = np.zeros(grid.num_nodes)
+            for n in grid.cells[grid.cells_in_rectangle(rect)].ravel():
+                vec[n] += quarter
+            expected.append(vec)
+        expected[-1] = expected[-1] / (grid.cells_in_rectangle(cfg.room).size * grid.hx * grid.hy)
+        for vec in expected:
+            vec[problem.lifting.dofs] = 0.0
+        loads = [c.vector for c in problem.rhs.components] + [problem.output]
+        assert [v.tobytes() for v in loads] == [v.tobytes() for v in expected]
+
+    def test_energy_gram_factored_once_per_problem_and_model(self, monkeypatch):
+        factored = count_calls(monkeypatch, EnergyFactor, "__init__")
+        problem = build_reactive_flow()
+        make_adaptive_model(problem, eps=1e-3)
+        assert len(factored) == 1
