@@ -43,10 +43,9 @@ from .fem import (
     synthetic_layered_raster,
 )
 from .fom import FomProblem, FullOrderModel
-from .hapod import HapodConfig, IncrementalHapod, RbGenerator, gram_schmidt, load_basis, pod_modes, save_basis
+from .hapod import HapodConfig, IncrementalHapod, RbGenerator, gram_schmidt, load_basis, save_basis
 from .kernels import (
     KernelConfig,
-    KernelModel,
     VkogaGenerator,
     VkogaRom,
     vkoga_fit,
@@ -58,7 +57,6 @@ from .mlp import (
     TrainConfig,
     adam_step,
     mlp_forward,
-    mlp_loss_grad,
     mlp_train,
 )
 from .optimize import NelderMeadConfig, OptimizeReport, nelder_mead, optimize_misfit

@@ -14,7 +14,7 @@ from . import blas
 from .adaptive import AdaptiveModel, EvalRecord
 from .core import ConfigError, check_count, time_average, window_mask
 from .fom import FomProblem, FullOrderModel
-from .hapod import HapodConfig, RbGenerator
+from .hapod import RbGenerator
 from .kernels import KernelConfig, VkogaGenerator
 from .mlp import DnnGenerator, TrainConfig
 
@@ -25,9 +25,7 @@ def make_adaptive_model(
     ml_backend: str = "vkoga",
     retrain: str = "per_extend",
     batch_threshold: int = 200,
-    hapod: HapodConfig = HapodConfig(),
     seed: int = 0,
-    hidden=(128, 128, 128, 128),
 ) -> AdaptiveModel:
     """Wire up FOM, basis generator and learned-model generator into one
     adaptive model. retrain is either "per_extend" or "batch" (trainings happen
@@ -40,14 +38,12 @@ def make_adaptive_model(
     check_count("batch_threshold", batch_threshold, 1)
     threshold = 1 if retrain == "per_extend" else batch_threshold
     fom = FullOrderModel(problem)
-    rb_gen = RbGenerator(fom, eps, hapod=hapod)
+    rb_gen = RbGenerator(fom, eps)
     rb_rom = rb_gen.precompute()
     if ml_backend == "vkoga":
         ml_gen = VkogaGenerator(rb_rom, KernelConfig(), pending_threshold=threshold)
     else:
-        ml_gen = DnnGenerator(
-            rb_rom, hidden=hidden, config=TrainConfig(seed=seed), pending_threshold=threshold
-        )
+        ml_gen = DnnGenerator(rb_rom, config=TrainConfig(seed=seed), pending_threshold=threshold)
     return AdaptiveModel(rb_gen, ml_gen)
 
 

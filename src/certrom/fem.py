@@ -8,6 +8,7 @@ functionals l(.;mu,t) = sum_q theta_q(mu) r_q(t) b_q.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -63,13 +64,20 @@ class StructuredGrid:
         xx, yy = np.meshgrid(x, y)
         return np.column_stack([xx.ravel(), yy.ravel()])
 
-    @property
+    @functools.cached_property
     def cells(self) -> np.ndarray:
-        """Cell -> node incidence, local order (0,0), (1,0), (0,1), (1,1)."""
+        """Cell -> node incidence, local order (0,0), (1,0), (0,1), (1,1);
+        computed once per grid and read-only."""
         ci, cj = np.meshgrid(np.arange(self.nx), np.arange(self.ny))
         ci, cj = ci.ravel(), cj.ravel()
         n00 = cj * (self.nx + 1) + ci
-        return np.column_stack([n00, n00 + 1, n00 + self.nx + 1, n00 + self.nx + 2])
+        cells = np.column_stack([n00, n00 + 1, n00 + self.nx + 1, n00 + self.nx + 2])
+        cells.flags.writeable = False
+        return cells
+
+    def __getstate__(self):
+        # a pickle would restore the cached cells writeable; they are rebuilt instead
+        return {k: v for k, v in self.__dict__.items() if k != "cells"}
 
     def _center_axes(self):
         cx = self.x0 + (np.arange(self.nx) + 0.5) * self.hx
@@ -123,8 +131,12 @@ def element_mass(hx, hy):
     return np.kron(_mass_1d(hy), _mass_1d(hx))
 
 
+@functools.cache
 def element_stiffness(hx, hy):
-    return np.kron(_mass_1d(hy), _stiff_1d(hx)) + np.kron(_stiff_1d(hy), _mass_1d(hx))
+    """The 4 x 4 element stiffness, computed once per (hx, hy) and read-only."""
+    el = np.kron(_mass_1d(hy), _stiff_1d(hx)) + np.kron(_stiff_1d(hy), _mass_1d(hx))
+    el.flags.writeable = False
+    return el
 
 
 def _assemble(grid: StructuredGrid, cell_matrices: np.ndarray) -> sp.csr_matrix:

@@ -125,14 +125,6 @@ def _pod(x: np.ndarray, gram, squared_budget: float):
     return modes, svals
 
 
-def pod_modes(vectors: np.ndarray, gram, mean_square_tol: float):
-    """One-shot POD keeping enough modes for a mean-square projection error
-    below mean_square_tol**2 (the dense reference the chunked variant is
-    checked against)."""
-    n = vectors.shape[1]
-    return _pod(np.asarray(vectors, dtype=float), gram, n * mean_square_tol**2)
-
-
 def save_basis(path, basis_matrix: np.ndarray):
     """Text dump: first line `N_h N_rb`, then one whitespace-separated row per DoF."""
     n, m = basis_matrix.shape

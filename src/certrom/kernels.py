@@ -29,14 +29,11 @@ def kernel_matrix(xs: np.ndarray, ys: np.ndarray, gamma: float) -> np.ndarray:
 @dataclass(frozen=True)
 class KernelConfig:
     gamma: Optional[float] = None  # defaults to 1 / input dimension
-    regularization: float = 0.0
     max_centers: Optional[int] = None
 
     def __post_init__(self):
         if self.gamma is not None and not self.gamma > 0.0:
             raise ValueError("kernel width gamma must be positive")
-        if self.regularization < 0.0:
-            raise ValueError("regularization must be nonnegative")
 
 
 class KernelModel:
@@ -138,7 +135,7 @@ class KernelModel:
         np.subtract(ys, basis @ self._alpha_newton, out=fresh)
         self._residual_norms = np.concatenate([self._residual_norms, np.linalg.norm(fresh, axis=1)])
 
-    def _greedy(self, config: KernelConfig, ys: np.ndarray):
+    def _greedy(self, config: KernelConfig):
         n = self.num_samples
         max_centers = n if config.max_centers is None else min(config.max_centers, n)
         added = False
@@ -154,7 +151,7 @@ class KernelModel:
             self._add_center(pick)
             added = True
         if added:
-            self._refresh_coefficients(config, ys)
+            self.coefficients = self.newton_factor @ self._alpha_newton
 
     def _add_center(self, pick: int):
         scale = np.sqrt(self._power[pick])
@@ -183,15 +180,6 @@ class KernelModel:
         self.newton_factor = grown
         self.centers = np.vstack([self.centers, self._train_x[pick]])
         self._selected.append(pick)
-
-    def _refresh_coefficients(self, config: KernelConfig, ys: np.ndarray):
-        if config.regularization > 0.0:
-            kzz = kernel_matrix(self.centers, self.centers, self.gamma)
-            m = self.num_centers
-            yz = ys[self._selected]
-            self.coefficients = np.linalg.solve(kzz + config.regularization * m * np.eye(m), yz)
-        else:
-            self.coefficients = self.newton_factor @ self._alpha_newton
 
 
 def vkoga_fit(
@@ -223,7 +211,7 @@ def vkoga_fit(
         model = warm
     if model.num_samples < xs.shape[0]:
         model._ingest(xs[model.num_samples :], ys[model.num_samples :])
-    model._greedy(config, ys)
+    model._greedy(config)
     return model
 
 

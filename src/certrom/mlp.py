@@ -73,10 +73,6 @@ def init_params(sizes, rng: np.random.Generator) -> MlpParams:
     return MlpParams(weights, biases)
 
 
-def zero_params(sizes) -> MlpParams:
-    return layer_views(np.zeros(_num_parameters(sizes)), sizes)
-
-
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Evaluate the network; accepts a single input or a batch of rows."""
     x = np.asarray(x, dtype=float)
@@ -134,23 +130,6 @@ class _Workspace:
                 np.greater(acts[i], 0.0, out=mask)
                 np.multiply(below, mask, out=below)
                 delta = below
-
-
-def mlp_loss_grad(params: MlpParams, x: np.ndarray, y: np.ndarray):
-    """Mean squared Euclidean output error over the batch and its gradients
-    (reverse-mode; the rectifier subgradient at 0 is taken as 0), in float64
-    through the training step's kernel."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    ws = _Workspace(params.sizes, x.shape[0], np.float64)
-    ws.theta[:] = params.flat()
-    ws.acts[0][:] = x
-    ws.target[:] = y
-    ws.backprop(x.shape[0])
-    err = ws.acts[-1] - y
-    return float(np.mean(np.sum(err**2, axis=1))), ws.grads
 
 
 class AdamState:

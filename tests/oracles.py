@@ -6,7 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from certrom import FomProblem, MlpParams, Trajectory
-from certrom.mlp import EarlyStopper, init_params
+from certrom.hapod import _pod
+from certrom.mlp import EarlyStopper, _num_parameters, _Workspace, init_params, layer_views
 
 
 def kernel_eval(x, y, gamma: float) -> float:
@@ -37,6 +38,35 @@ def rb_residual_bruteforce(problem: FomProblem, basis_matrix: np.ndarray, traj: 
         residuals[:, j] = b - p.mass @ (full[j + 1] - full[j]) / dt - op @ full[j + 1]
     reps = spla.spsolve(p.gram.tocsc(), residuals).reshape(residuals.shape)
     return np.sqrt(np.maximum(np.einsum("ij,ij->j", residuals, reps), 0.0))
+
+
+def pod_modes(vectors: np.ndarray, gram, mean_square_tol: float):
+    """One-shot POD keeping enough modes for a mean-square projection error
+    below mean_square_tol**2 (the dense reference the chunked variant is
+    checked against)."""
+    n = vectors.shape[1]
+    return _pod(np.asarray(vectors, dtype=float), gram, n * mean_square_tol**2)
+
+
+def zero_params(sizes) -> MlpParams:
+    return layer_views(np.zeros(_num_parameters(sizes)), sizes)
+
+
+def mlp_loss_grad(params: MlpParams, x: np.ndarray, y: np.ndarray):
+    """Mean squared Euclidean output error over the batch and its gradients
+    (reverse-mode; the rectifier subgradient at 0 is taken as 0), in float64
+    through the training step's kernel."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    ws = _Workspace(params.sizes, x.shape[0], np.float64)
+    ws.theta[:] = params.flat()
+    ws.acts[0][:] = x
+    ws.target[:] = y
+    ws.backprop(x.shape[0])
+    err = ws.acts[-1] - y
+    return float(np.mean(np.sum(err**2, axis=1))), ws.grads
 
 
 def mlp_loss_grad_allocating(params: MlpParams, x: np.ndarray, y: np.ndarray):

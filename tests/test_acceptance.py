@@ -21,17 +21,15 @@ from certrom import (
     gram_schmidt,
     l2_time_norm,
     make_adaptive_model,
-    mlp_loss_grad,
     monte_carlo,
     optimize_misfit,
-    pod_modes,
     time_average,
     vkoga_fit,
 )
 from certrom.mlp import init_params
 
 from conftest import record_acceptance
-from oracles import rb_residual_bruteforce
+from oracles import mlp_loss_grad, pod_modes, rb_residual_bruteforce
 
 
 @pytest.fixture(scope="module")

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from certrom import (
+    AdaptiveModel,
+    DnnGenerator,
     FullOrderModel,
     HapodConfig,
+    KernelConfig,
     NumericalError,
+    RbGenerator,
     StagnationConfig,
     StagnationDetector,
+    TrainConfig,
     VkogaGenerator,
     apply_tolerance_drop,
     l2_time_norm,
@@ -15,6 +20,19 @@ from certrom import (
 from certrom import kernels
 from certrom.rb import RbRom
 from conftest import count_calls, faulty
+
+
+def network_model(problem, eps):
+    """The adaptive stack with a 16 x 16 network tier, retrained every 4 samples."""
+    rb_gen = RbGenerator(FullOrderModel(problem), eps)
+    ml_gen = DnnGenerator(rb_gen.precompute(), hidden=(16, 16), config=TrainConfig(seed=1), pending_threshold=4)
+    return AdaptiveModel(rb_gen, ml_gen)
+
+
+def coarse_pod_model(problem, eps):
+    """The adaptive stack with a kernel tier, over a basis compressed at eps_pod = 1e-2."""
+    rb_gen = RbGenerator(FullOrderModel(problem), eps, hapod=HapodConfig(eps_pod=1e-2))
+    return AdaptiveModel(rb_gen, VkogaGenerator(rb_gen.precompute()))
 
 
 @pytest.fixture()
@@ -158,10 +176,7 @@ def learned_backend_models(heat_problem):
     store: one adaptive model per learned backend."""
     return (
         make_adaptive_model(heat_problem, eps=1e-2, ml_backend="vkoga"),
-        make_adaptive_model(
-            heat_problem, eps=1e-2, ml_backend="mlp", retrain="batch",
-            batch_threshold=4, hidden=(16, 16), seed=1,
-        ),
+        network_model(heat_problem, eps=1e-2),
     )
 
 
@@ -252,10 +267,7 @@ class TestToleranceDrop:
 
 class TestMlpBackend:
     def test_certification_holds_with_mlp(self, heat_problem):
-        m = make_adaptive_model(
-            heat_problem, eps=2e-2, ml_backend="mlp", retrain="batch",
-            batch_threshold=4, hidden=(16, 16), seed=1,
-        )
+        m = network_model(heat_problem, eps=2e-2)
         fom = FullOrderModel(heat_problem)
         rng = np.random.default_rng(24)
         for _ in range(10):
@@ -268,8 +280,6 @@ class TestMlpBackend:
 
 class TestDegradedLearnedModel:
     def test_cascade_still_certifies_with_crippled_kernel_model(self, heat_problem):
-        from certrom import AdaptiveModel, KernelConfig, RbGenerator, VkogaGenerator
-
         fom = FullOrderModel(heat_problem)
         rb_gen = RbGenerator(fom, eps=1e-3)
         ml_gen = VkogaGenerator(rb_gen.precompute(), KernelConfig(max_centers=2))
@@ -287,14 +297,14 @@ class TestCoarseCompression:
     against the model's one active tolerance."""
 
     def test_cascade_survives_coarse_compression(self, heat_problem):
-        model = make_adaptive_model(heat_problem, eps=1e-4, hapod=HapodConfig(eps_pod=1e-2))
+        model = coarse_pod_model(heat_problem, eps=1e-4)
         rng = np.random.default_rng(0)
         for _ in range(12):
             model.query(heat_problem.box.sample(rng))
 
     def test_tolerance_drop_reaches_generator(self, heat_problem):
         fom = FullOrderModel(heat_problem)
-        model = make_adaptive_model(heat_problem, eps=1e-1, hapod=HapodConfig(eps_pod=1e-2))
+        model = coarse_pod_model(heat_problem, eps=1e-1)
         rng = np.random.default_rng(0)
         for _ in range(3):
             model.query(heat_problem.box.sample(rng))

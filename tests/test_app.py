@@ -159,7 +159,7 @@ class TestExportTelemetry:
     @pytest.mark.parametrize("backend", ["vkoga", "mlp"])
     def test_training_events_record_the_refit_work(self, tmp_path, heat_problem, backend):
         model = make_adaptive_model(
-            heat_problem, eps=1e-2, ml_backend=backend, retrain="batch", batch_threshold=2, hidden=(8,)
+            heat_problem, eps=1e-2, ml_backend=backend, retrain="batch", batch_threshold=2
         )
         rng = np.random.default_rng(7)
         for _ in range(5):

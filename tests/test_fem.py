@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,7 +25,7 @@ from certrom import (
     load_raster_csv,
     synthetic_layered_raster,
 )
-from certrom.fem import constrain_matrix
+from certrom.fem import constrain_matrix, element_stiffness
 
 
 class TestGrid:
@@ -49,6 +51,20 @@ class TestGrid:
     def test_degenerate_rectangle(self):
         with pytest.raises(ValueError):
             build_grid((0, 0, 0, 1), 2, 2)
+
+    def test_cells_built_once_read_only_and_rebuilt_after_unpickling(self):
+        grid = build_grid((0, 2, 0, 1), 3, 2)
+        cells = grid.cells
+        assert grid.cells is cells and not cells.flags.writeable
+        copy = pickle.loads(pickle.dumps(grid))
+        assert "cells" not in copy.__dict__ and copy == grid
+        assert not copy.cells.flags.writeable
+        assert np.array_equal(copy.cells, cells)
+
+    def test_element_stiffness_built_once_per_spacing(self):
+        el = element_stiffness(0.25, 0.5)
+        assert element_stiffness(0.25, 0.5) is el and not el.flags.writeable
+        assert element_stiffness(0.5, 0.25) is not el
 
     def test_cells_in_rectangle_matches_center_definition(self):
         from certrom import BuildingConfig, build_building

@@ -10,9 +10,9 @@ from certrom import (
     RbGenerator,
     gram_schmidt,
     load_basis,
-    pod_modes,
     save_basis,
 )
+from oracles import pod_modes
 
 
 def random_spd_gram(n, seed):

@@ -11,12 +11,11 @@ from certrom import (
     TrainConfig,
     adam_step,
     mlp_forward,
-    mlp_loss_grad,
     mlp_train,
 )
 from certrom.core import NumericalError
-from certrom.mlp import AdamState, EarlyStopper, init_params, layer_views, zero_params
-from oracles import mlp_loss_grad_allocating, mlp_train_allocating
+from certrom.mlp import AdamState, EarlyStopper, init_params, layer_views
+from oracles import mlp_loss_grad, mlp_loss_grad_allocating, mlp_train_allocating, zero_params
 
 
 def flat(params):
