@@ -102,6 +102,7 @@ class AdaptiveModel:
 
         if rec.delta_ml <= self.eps:
             rec.tier = TIER_ML
+            self.ml_generator.answered()
             tic = time.perf_counter()
             answer = self._package(ml_traj, use_state_estimate)
             rec.t_ml_eval = time.perf_counter() - tic
@@ -147,11 +148,15 @@ class AdaptiveModel:
 
     def _refit(self, force: bool = False):
         """Refit the learned tier when due (or forced), logging each fit as an
-        ``ml_train`` event with the generator's report of its work."""
-        before = self.ml_generator.trainings
-        self.ml_generator.precompute(force)
-        if self.ml_generator.trainings > before:
-            self.events.append({"kind": "ml_train", "index": len(self.records), **self.ml_generator.last_fit})
+        ``ml_train`` event with the generator's report of its work, and each
+        doubling of its retrain interval as an ``ml_backoff`` event."""
+        gen = self.ml_generator
+        trainings, interval = gen.trainings, gen.refit_interval
+        gen.precompute(force)
+        if gen.refit_interval > interval:
+            self.events.append({"kind": "ml_backoff", "index": len(self.records), "interval": gen.refit_interval})
+        if gen.trainings > trainings:
+            self.events.append({"kind": "ml_train", "index": len(self.records), **gen.last_fit})
 
     def _package(self, traj: Trajectory, as_state: bool):
         if as_state:

@@ -29,8 +29,10 @@ def make_adaptive_model(
 ) -> AdaptiveModel:
     """Wire up FOM, basis generator and learned-model generator into one
     adaptive model. retrain is either "per_extend" or "batch" (trainings happen
-    once batch_threshold new samples accumulated); batch_threshold must be an
-    integer >= 1 under either policy."""
+    once batch_threshold new samples accumulated; the wait doubles when a
+    batch fills with no learned-tier answer since the last training, and an
+    answer resets it); batch_threshold must be an integer >= 1 under either
+    policy."""
     if ml_backend not in ("vkoga", "mlp"):
         raise ConfigError(f"ml backend: expected 'vkoga' or 'mlp', got {ml_backend!r}")
     if retrain not in ("per_extend", "batch"):

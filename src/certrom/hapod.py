@@ -61,7 +61,8 @@ class IncrementalHapod:
         self.n_expected = int(n_expected)
         self.modes = np.zeros((gram.shape[0], 0))
         self.svals = np.zeros(0)
-        self._buffer = []
+        self._buffer = []  # 2-D blocks fed since the last compression
+        self._buffered = 0  # their column count
         self.n_seen = 0
         stages = max(1, math.ceil(self.n_expected / config.chunk))
         budget = math.sqrt(self.n_expected) * config.eps_pod
@@ -72,18 +73,26 @@ class IncrementalHapod:
     @property
     def n_stored(self) -> int:
         """Full-order vectors currently held (carried modes + buffered chunk)."""
-        return self.modes.shape[1] + len(self._buffer)
+        return self.modes.shape[1] + self._buffered
 
     def feed(self, vectors: np.ndarray):
+        """Buffer the columns of ``vectors`` (or one vector), compressing
+        whenever ``chunk`` columns are buffered. The columns are kept as
+        blocks, not copied, until they are compressed, so the caller must not
+        write into them before ``finalize``."""
         if self._finalized:
             raise RuntimeError("compression already finalized")
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim == 1:
             vectors = vectors[:, None]
-        for j in range(vectors.shape[1]):
-            self._buffer.append(vectors[:, j].copy())
-            self.n_seen += 1
-            if len(self._buffer) >= self.config.chunk:
+        start = 0
+        while start < vectors.shape[1]:
+            stop = min(vectors.shape[1], start + self.config.chunk - self._buffered)
+            self._buffer.append(vectors[:, start:stop])
+            self._buffered += stop - start
+            self.n_seen += stop - start
+            start = stop
+            if self._buffered == self.config.chunk:
                 self._compress(self._local_budget)
 
     def finalize(self):
@@ -94,14 +103,10 @@ class IncrementalHapod:
 
     def _compress(self, budget: float):
         carried = self.modes * self.svals[None, :]
-        data = [carried] if carried.size else []
-        if self._buffer:
-            data.append(np.column_stack(self._buffer))
-        self._buffer = []
-        if not data:
-            return
-        x = np.hstack(data)
-        self.modes, self.svals = _pod(x, self.gram, budget**2)
+        data = ([carried] if carried.size else []) + self._buffer
+        self._buffer, self._buffered = [], 0
+        if data:
+            self.modes, self.svals = _pod(np.hstack(data), self.gram, budget**2)
 
 
 def _pod(x: np.ndarray, gram, squared_budget: float):
@@ -199,28 +204,30 @@ class RbGenerator:
         problem = self.fom.problem
         cfg = HapodConfig(eps_pod, self.hapod.chunk)
         state = IncrementalHapod(problem.gram, cfg, problem.time_grid.num_nodes)
-        chunk = []
+        block = np.empty((problem.dim, cfg.chunk))  # every full chunk is written here
+        filled = 0
         raw_scale = 0.0
         for row in self.fom.iter_state(mu):
-            chunk.append(row)
-            self._track(state, len(chunk))
-            if len(chunk) == cfg.chunk:
-                raw_scale = max(raw_scale, self._feed_projected(state, chunk))
-                chunk = []
-        if chunk:
-            raw_scale = max(raw_scale, self._feed_projected(state, chunk))
+            block[:, filled] = row
+            filled += 1
+            self._track(state, filled)
+            if filled == cfg.chunk:
+                raw_scale = max(raw_scale, self._feed_projected(state, block))
+                filled = 0
+        if filled:  # contiguous like a full chunk, so the scale sums in the same order
+            raw_scale = max(raw_scale, self._feed_projected(state, block[:, :filled].copy()))
         modes, svals = state.finalize()
         self._track(state, 0)
         keep = svals > self._DEFLATION * raw_scale
         return modes[:, keep]
 
-    def _feed_projected(self, state: IncrementalHapod, chunk: list) -> float:
-        gram = self.fom.problem.gram
-        x = np.column_stack(chunk)
-        scale = float(np.sqrt(max(np.max(np.einsum("ij,ij->j", x, gram @ x)), 0.0)))
-        if self.basis.shape[1]:
-            x = x - self.basis @ (self.basis.T @ (gram @ x))
-        state.feed(x)
+    def _feed_projected(self, state: IncrementalHapod, x: np.ndarray) -> float:
+        """Feed the chunk x (columns are states) projected off the basis, as a
+        new array, since x is the block the next chunk is written into;
+        returns the largest energy norm of its states."""
+        gx = self.fom.problem.gram @ x
+        scale = float(np.sqrt(max(np.max(np.einsum("ij,ij->j", x, gx)), 0.0)))
+        state.feed(x - self.basis @ (self.basis.T @ gx) if self.basis.shape[1] else x.copy())
         return scale
 
     def extend(self, mu) -> None:

@@ -501,9 +501,9 @@ class LearnedRom:
 
 class LearnedGenerator(abc.ABC):
     """Sample store of the learned backends: (mu, reduced trajectory) pairs
-    collected from an RB-ROM, refitted once ``pending_threshold`` store
-    changes accumulated since the last fit (or on demand), and carried onto
-    nested bases by zero-padding.
+    collected from an RB-ROM, refitted once ``refit_interval`` store changes
+    accumulated since the last fit (or on demand), and carried onto nested
+    bases by zero-padding.
 
     The trajectories share one nested temporal basis T (K x m, orthonormal
     columns), held by ``temporal`` (a TemporalBasis, rebound whenever T grows)
@@ -512,6 +512,13 @@ class LearnedGenerator(abc.ABC):
     unless C came with its own coordinates in the current basis. Each sample
     is kept once, as row i of a block that grows by doubling (sample i's
     m x N coordinates, row-major); backends fit on views of it.
+
+    Batch refits (``pending_threshold`` > 1) back off while the learned tier
+    earns nothing: ``refit_interval`` starts at ``pending_threshold``, and when
+    the pending count reaches it with no query answered by the tier since the
+    last fit (``answered``), it doubles once and the fit waits for the doubled
+    batch. An answer resets it. The first fit is never deferred, and forced
+    fits ignore the interval and leave it as it is.
 
     A backend fits in ``precompute`` when ``_due`` says so and reports it with
     ``_fitted``, which records the fit in ``last_fit``; it pads its fitted
@@ -525,6 +532,9 @@ class LearnedGenerator(abc.ABC):
         self.rb_rom = rb_rom
         check_count("pending_threshold", pending_threshold, 1)
         self.pending_threshold = pending_threshold
+        self.refit_interval = pending_threshold
+        self._earned = False  # the tier answered a query since the last fit
+        self._deferred = False  # the interval already doubled for this batch
         self._mus: list = []
         self.temporal = TemporalBasis(rb_rom.time_grid, rb_rom.rhs)
         self._rows = np.empty((0, 0))  # the first len(_mus) rows are live
@@ -641,17 +651,37 @@ class LearnedGenerator(abc.ABC):
         """Zero-pad the fitted model's m x N coordinate targets to new_shape,
         so that its predictions keep their old coordinates."""
 
+    def answered(self):
+        """Note a query the learned tier answered: batch refits fall due
+        every ``pending_threshold`` store changes again."""
+        self._earned = True
+        self.refit_interval = self.pending_threshold
+
     def _due(self, force: bool) -> bool:
         """Whether precompute must fit: the store changed since the last fit,
-        and either often enough or the caller insists."""
+        and either the caller insists or ``refit_interval`` changes piled up,
+        after the interval doubled once if the last fit earned nothing."""
         if not self._mus:
             raise ValueError("empty training set")
-        return self._pending > 0 and (force or self._pending >= self.pending_threshold)
+        if not self._pending:
+            return False
+        if force:
+            return True
+        if (
+            self._pending >= self.refit_interval
+            and self.pending_threshold > 1
+            and self.trainings
+            and not (self._earned or self._deferred)
+        ):
+            self.refit_interval *= 2
+            self._deferred = True
+        return self._pending >= self.refit_interval
 
     def _fitted(self, **report):
         """Record a fit; ``last_fit`` holds the samples it used and the
         backend's ``report`` (JSON-serializable values)."""
         self._pending = 0
+        self._earned = self._deferred = False
         self._appended_only = True
         self.trainings += 1
         self.last_fit = {"samples": len(self._mus), **report}

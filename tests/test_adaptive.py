@@ -18,7 +18,7 @@ from certrom import (
     make_adaptive_model,
 )
 from certrom import kernels
-from certrom.rb import RbRom
+from certrom.rb import LearnedGenerator, RbRom, SpannedTrajectory
 from conftest import count_calls, faulty
 
 
@@ -276,6 +276,118 @@ class TestMlpBackend:
             err = l2_time_norm(fom.eval_output(mu) - sig)
             assert err <= m.eps * (1 + 1e-10)
         assert len(m.records) == 10
+
+
+class ZeroGenerator(LearnedGenerator):
+    """A learned tier that learns nothing: it predicts zero coordinates (the
+    exact initial row aside), which certify no answer at a finite tolerance,
+    and its fits only count."""
+
+    def current_model(self):
+        return kernels.VkogaRom(self.rb_rom, None, self.temporal)
+
+    def precompute(self, force: bool = False):
+        if self._due(force):
+            self._fitted()
+        return self.current_model()
+
+    def _forget_model(self):
+        pass
+
+    def _pad_model(self, old_shape, new_shape):
+        pass
+
+
+def zero_tier_model(problem, threshold):
+    rb_gen = RbGenerator(FullOrderModel(problem), eps=1e-2)
+    return AdaptiveModel(rb_gen, ZeroGenerator(rb_gen.precompute(), pending_threshold=threshold))
+
+
+def fit_points(gen, mus, force=False) -> list:
+    """Store each mu in turn and precompute; the store sizes at which it fit."""
+    fits = []
+    for mu in mus:
+        gen.extend(mu)
+        before = gen.trainings
+        gen.precompute(force)
+        if gen.trainings > before:
+            fits.append(len(gen.samples))
+    return fits
+
+
+class TestRetrainBackoff:
+    """Batch refits back off while the learned tier earns nothing: the retrain
+    interval doubles once per fit that no answer used, and an answer resets it."""
+
+    def test_unearned_batches_double_the_interval_once_per_fit(self, heat_problem):
+        model = zero_tier_model(heat_problem, threshold=2)
+        rng = np.random.default_rng(50)
+        for _ in range(15):
+            model.query(heat_problem.box.sample(rng))
+        assert all(r.tier != "ml" for r in model.records)
+        trainings = [(e["index"], e["samples"]) for e in model.events if e["kind"] == "ml_train"]
+        backoffs = [(e["index"], e["interval"]) for e in model.events if e["kind"] == "ml_backoff"]
+        assert trainings == [(1, 2), (5, 6), (13, 14)]  # b, 3b, 7b
+        assert backoffs == [(3, 4), (9, 8)]  # one per deferred fit
+        assert model.ml_generator.refit_interval == 8
+
+    def test_an_answer_resets_the_interval(self, heat_problem):
+        gen = zero_tier_model(heat_problem, threshold=2).ml_generator
+        rng = np.random.default_rng(51)
+        mus = [heat_problem.box.sample(rng) for _ in range(8)]
+        assert fit_points(gen, mus[:4]) == [2]  # the first fit is never deferred
+        assert gen.refit_interval == 4
+        gen.answered()
+        assert gen.refit_interval == 2
+        assert fit_points(gen, mus[4:5]) == [5]  # 3 pending, due again at 2
+        assert fit_points(gen, mus[5:8]) == []  # no answer since: deferred to 4
+        assert gen.refit_interval == 4
+
+    def test_answers_keep_the_first_interval(self, heat_problem):
+        gen = zero_tier_model(heat_problem, threshold=2).ml_generator
+        rng = np.random.default_rng(52)
+        fits = []
+        for _ in range(4):
+            fits += fit_points(gen, [heat_problem.box.sample(rng) for _ in range(2)])
+            gen.answered()
+        assert fits == [2, 4, 6, 8] and gen.refit_interval == 2
+
+    def test_per_extend_refits_every_stored_sample(self, heat_problem):
+        model = make_adaptive_model(heat_problem, eps=1e-2, ml_backend="vkoga", retrain="per_extend")
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            model.query(heat_problem.box.sample(rng))
+        tiers = [r.tier for r in model.records]
+        assert "ml" in tiers and tiers.count("ml") < len(tiers)
+        assert model.ml_generator.trainings == len(tiers) - tiers.count("ml")
+        assert model.ml_generator.refit_interval == 1
+        assert not [e for e in model.events if e["kind"] == "ml_backoff"]
+
+    def test_forced_fit_ignores_the_interval(self, heat_problem):
+        gen = zero_tier_model(heat_problem, threshold=4).ml_generator
+        rng = np.random.default_rng(54)
+        assert fit_points(gen, [heat_problem.box.sample(rng) for _ in range(9)]) == [4]
+        assert gen.refit_interval == 8
+        assert fit_points(gen, [heat_problem.box.sample(rng)], force=True) == [10]
+        assert gen.refit_interval == 8
+
+    def test_refit_after_a_drop_ignores_the_interval(self, heat_problem):
+        model = zero_tier_model(heat_problem, threshold=4)
+        rng = np.random.default_rng(55)
+        for _ in range(9):
+            model.query(heat_problem.box.sample(rng))
+        gen, rom = model.ml_generator, model.rb_rom
+        assert gen.trainings == 1 and gen.refit_interval == 8
+        estimates = sorted(
+            rom.est_output_for(SpannedTrajectory(gen.temporal, coords), mu, gen.temporal)
+            for mu, coords in gen.samples
+        )
+        dropped = apply_tolerance_drop(model, estimates[len(estimates) // 2])
+        assert 0 < dropped < len(estimates)
+        drop, refit = model.events[-2:]
+        assert drop["kind"] == "eps_drop" and refit["kind"] == "ml_train"
+        assert refit["samples"] == len(estimates) - dropped < gen.refit_interval
+        assert gen.trainings == 2 and gen.refit_interval == 8
 
 
 class TestDegradedLearnedModel:

@@ -111,6 +111,26 @@ class TestIncrementalHapod:
         eye = modes.T @ (g @ modes)
         assert np.max(np.abs(eye - np.eye(modes.shape[1]))) <= 1e-10
 
+    def test_compression_does_not_depend_on_how_columns_are_fed(self):
+        """Blocks are split at chunk boundaries, so the compressions, the
+        stored-vector counts and the modes are those of column-by-column
+        feeding, bit for bit."""
+        rng = np.random.default_rng(9)
+        g = random_spd_gram(12, 10)
+        data = rng.normal(size=(12, 23))
+        results = []
+        for widths in ([1] * 23, [23], [3, 7, 1, 12]):
+            h = IncrementalHapod(g, HapodConfig(1e-3, chunk=5), n_expected=23)
+            edges = np.cumsum([0, *widths])
+            stored = []
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                h.feed(data[:, lo:hi])
+                stored.append((hi, h.n_stored))
+            results.append((dict(stored), *h.finalize()))
+        for counts, modes, svals in results[1:]:
+            assert all(results[0][0][k] == v for k, v in counts.items())
+            assert np.array_equal(modes, results[0][1]) and np.array_equal(svals, results[0][2])
+
     @pytest.mark.parametrize("chunk", [0, 2.5, True], ids=["zero", "fraction", "bool"])
     def test_chunk_must_be_a_count(self, chunk):
         with pytest.raises(ValueError, match="chunk must be an integer >= 1"):

@@ -137,3 +137,31 @@ def test_adaptive_model_mid_run(heat_problem, backend):
     for original, restored in zip(*runs):
         assert original[:4] == restored[:4]
         assert np.array_equal(original[4], restored[4])
+
+
+def test_batch_retrain_state_mid_run(heat_problem):
+    """A batch-mode model pickled right after a learned-tier answer keeps its
+    retrain interval and the answer's credit: the copy refits where the
+    original does, backs off where it does, and answers bit-identically."""
+    rb_gen = RbGenerator(FullOrderModel(heat_problem), eps=1e-3)
+    model = AdaptiveModel(rb_gen, VkogaGenerator(rb_gen.precompute(), pending_threshold=2))
+    rng = np.random.default_rng(42)
+    for _ in range(7):
+        model.query(heat_problem.box.sample(rng))
+    assert model.records[-1].tier == "ml"
+    copy = roundtrip(model)
+    gen = copy.ml_generator
+    assert (gen.refit_interval, gen._earned, gen._deferred) == (2, True, False)
+    queries = [heat_problem.box.sample(rng) for _ in range(13)]
+    logged = len(model.events)
+    runs = []
+    for m in (model, copy):
+        answers = [m.query(mu) for mu in queries]
+        runs.append([(rec.tier, rec.delta_ml, rec.delta_rb, rec.basis_dim, signal.values) for signal, rec in answers])
+    assert copy.events == model.events
+    learned = [(e["kind"], e["index"]) for e in copy.events[logged:] if e["kind"] != "rb_enrich"]
+    # the refit at query 8 is due only because query 6 was answered by the tier
+    assert learned == [("ml_train", 8), ("ml_train", 12), ("ml_backoff", 14), ("ml_train", 19)]
+    for original, restored in zip(*runs):
+        assert original[:4] == restored[:4]
+        assert np.array_equal(original[4], restored[4])
