@@ -1,8 +1,8 @@
-"""Train the feedforward predictor of reduced coefficients at arbitrary
-(parameter, time) inputs and certify its predictions.
+"""Train the feedforward predictor of a reduced trajectory's coordinates in
+the learned samples' temporal basis and certify its predictions.
 
-Unlike the time-stepping reduced solve, the network evaluates all time nodes
-in one batched pass; certification keeps it honest.
+Unlike the time-stepping reduced solve, one forward pass from the parameter
+gives the whole trajectory; certification keeps it honest.
 """
 
 import numpy as np
@@ -18,13 +18,12 @@ for mu in training:
     rb_gen.extend(mu)
 rom = rb_gen.precompute()
 
-ml_gen = DnnGenerator(
-    rom, hidden=(64, 64), config=TrainConfig(seed=0), pending_threshold=1
-)
+ml_gen = DnnGenerator(rom, config=TrainConfig(seed=0), pending_threshold=1)
 for mu in training:
     ml_gen.extend(mu)
 learned = ml_gen.precompute(force=True)
-print(f"network: {learned.size} parameters, inputs scaled to [-1, 1]^{problem.box.dim + 1}")
+m = ml_gen.time_basis.shape[1]
+print(f"network: {learned.size} parameters, [0, 1]^{problem.box.dim} -> {m} x {rom.dim} temporal coordinates")
 
 accepted = 0
 tol = 5e-2

@@ -1,6 +1,7 @@
 """Feedforward network trained from scratch (backprop, Adam, step LR schedule,
-early stopping) predicting reduced coefficients at arbitrary (mu, t) inputs,
-plus the certified model/generator pair sharing the RB-ROM's estimator.
+early stopping) from the unit-box parameter to the reduced trajectory's
+coordinates in the learned samples' temporal basis, plus the certified
+model/generator pair sharing the RB-ROM's estimator.
 
 Training runs in float32 on one workspace per `mlp_train` call: parameters,
 gradient and Adam moments are flat vectors, and every step writes into
@@ -16,8 +17,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import NumericalError, Trajectory, check_count
-from .rb import LearnedGenerator, LearnedRom, RbRom
+from .core import NumericalError, check_count
+from .rb import LearnedGenerator, LearnedRom, RbRom, SpannedTrajectory, TemporalBasis, _pad_flat
 
 TRAIN_DTYPE = np.float32
 
@@ -277,91 +278,71 @@ def _loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.sum(err**2, axis=1)))
 
 
-class InputScaler:
-    """Fixed affine map of (parameter box) x [0, t_end] onto [-1, 1]^(p+1)."""
-
-    def __init__(self, box, t_end: float):
-        self.lo = np.concatenate([box.lower, [0.0]])
-        self.hi = np.concatenate([box.upper, [t_end]])
-
-    def scale(self, mus_and_times: np.ndarray) -> np.ndarray:
-        return 2.0 * (mus_and_times - self.lo) / (self.hi - self.lo) - 1.0
-
-
 class DnnRom(LearnedRom):
-    """Certified learned ROM with random-access-in-time prediction."""
+    """Certified learned ROM whose coordinates a network predicts."""
 
-    def __init__(self, rb_rom: RbRom, params: Optional[MlpParams], scaler: InputScaler):
-        super().__init__(rb_rom)
+    def __init__(self, rb_rom: RbRom, params: Optional[MlpParams], temporal: TemporalBasis):
+        super().__init__(rb_rom, temporal)
         self.params = params
-        self.scaler = scaler
 
     @property
     def size(self) -> int:
         return 0 if self.params is None else self.params.num_parameters
 
-    def eval_state(self, mu) -> Trajectory:
-        rom = self.rb_rom
-        mu = rom.box.validate(mu)
-        K = rom.time_grid.num_nodes
-        if self.params is None or rom.dim == 0:
-            return self._trajectory(np.zeros((K, rom.dim)))
-        inputs = np.column_stack([np.tile(mu, (K, 1)), rom.time_grid.nodes])
-        return self._trajectory(mlp_forward(self.params, self.scaler.scale(inputs)))
+    def _predict(self, unit_mu: np.ndarray) -> np.ndarray:
+        return mlp_forward(self.params, unit_mu)
+
+    def eval_state(self, mu) -> SpannedTrajectory:
+        # defined here, not only inherited, so that perfbench can span the
+        # network's prediction (it wraps DnnRom.eval_state)
+        return super().eval_state(mu)
 
 
 class DnnGenerator(LearnedGenerator):
-    """Collects (mu, t_k) -> reduced-coefficient pairs from an RB-ROM; trains
-    the network once enough new samples have accumulated (or on demand),
-    warm-starting from the current parameters unless a discard forgot them."""
+    """Collects (mu, reduced trajectory) samples from an RB-ROM and trains the
+    network from the unit-box parameter to their m x N temporal coordinates
+    once enough new samples have accumulated (or on demand), from two samples
+    on, warm-starting from the current parameters unless a discard forgot
+    them."""
 
     def __init__(
         self,
         rb_rom: RbRom,
-        hidden=(128, 128, 128, 128),
+        hidden=(64, 64),
         config: TrainConfig = TrainConfig(),
         pending_threshold: int = 200,
     ):
         super().__init__(rb_rom, pending_threshold)
         self.hidden = tuple(hidden)
         self.config = config
-        self.scaler = InputScaler(rb_rom.box, rb_rom.time_grid.t_end)
         self.params: Optional[MlpParams] = None
 
-    def _training_arrays(self):
-        """Inputs (mu, t_k) and targets, the stored trajectories rebuilt from
-        their temporal coordinates, one row per sample and time node."""
-        nodes = self.rb_rom.time_grid.nodes
-        xs = np.vstack([
-            self.scaler.scale(np.column_stack([np.tile(mu, (len(nodes), 1)), nodes])) for mu in self._mus
-        ])
-        coords = self._targets().reshape(len(self._mus), *self._coordinate_shape)
-        return xs, (self.temporal.matrix @ coords).reshape(len(xs), self.rb_rom.dim)
-
     def current_model(self) -> DnnRom:
-        return DnnRom(self.rb_rom, self.params, self.scaler)
+        return DnnRom(self.rb_rom, self.params, self.temporal)
 
     def _forget_model(self):
         self.params = None
 
     def precompute(self, force: bool = False) -> DnnRom:
-        if self._due(force) and self.rb_rom.dim:
-            xs, ys = self._training_arrays()
-            sizes = [xs.shape[1], *self.hidden, self.rb_rom.dim]
+        # one sample leaves no training row after the validation split
+        if self._due(force) and self.rb_rom.dim and len(self._mus) > 1:
+            ys = self._targets()
+            sizes = [self.rb_rom.box.dim, *self.hidden, ys.shape[1]]
             cfg = replace(self.config, seed=self.config.seed + self.trainings)
-            result = mlp_train(xs, ys, sizes, cfg, warm_start=self.params)
+            result = mlp_train(self._inputs(), ys, sizes, cfg, warm_start=self.params)
             self.params = result.params
             self._fitted(epochs=result.epochs, val_loss=result.val_loss)
         return self.current_model()
 
     def _pad_model(self, old_shape: tuple, new_shape: tuple):
-        """Grow the final layer with zero rows for new basis columns, so
-        previously learned outputs are unchanged until the next training;
-        the network predicts trajectories, so new temporal modes leave it
-        as it is."""
-        pad = new_shape[1] - old_shape[1]
-        if pad and self.params is not None:
-            params = self.params.copy()
-            params.weights[-1] = np.vstack([params.weights[-1], np.zeros((pad, params.weights[-1].shape[1]))])
-            params.biases[-1] = np.concatenate([params.biases[-1], np.zeros(pad)])
-            self.params = params
+        """Zero-pad the last layer's output rows as the stored coordinates
+        are padded, so the network predicts its old coordinates until the
+        next training. The hidden layers are copied, so that they no longer
+        keep the trained flat parameter vector alive."""
+        if self.params is not None:
+            *weights, last_w = self.params.weights
+            *biases, last_b = self.params.biases
+            self.params = MlpParams(
+                [w.copy() for w in weights] + [_pad_flat(last_w.T, old_shape, new_shape).T],
+                [b.copy() for b in biases] + [_pad_flat(last_b[None, :], old_shape, new_shape)[0]],
+            )

@@ -476,21 +476,29 @@ class TemporalBasis:
         return SpannedTrajectory(self, coords, initial=coeffs[0], tail=tail, coeffs=coeffs)
 
 
-class LearnedRom:
-    """Certified learned ROM: a backend predicts the reduced trajectory
-    (``eval_state``), the output operator and the error estimator are the
-    underlying RB-ROM's."""
+class LearnedRom(abc.ABC):
+    """Certified learned ROM: a backend predicts the m x N coordinates of the
+    reduced trajectory in the temporal basis it was fitted in (``_predict``,
+    from the unit-box parameter) and reports its model's ``size`` (0 before
+    any fit); the output operator and the error estimator are the underlying
+    RB-ROM's."""
 
-    def __init__(self, rb_rom: RbRom):
+    def __init__(self, rb_rom: RbRom, temporal: TemporalBasis):
         self.rb_rom = rb_rom
+        self.temporal = temporal
 
-    def _trajectory(self, coeffs: np.ndarray) -> Trajectory:
-        """Predicted coefficients with the first row replaced by the exact
-        reduced initial coefficients, as the estimator requires."""
-        if self.rb_rom.dim:
-            coeffs = coeffs.copy()
-            coeffs[0] = self.rb_rom.init_coeffs
-        return Trajectory(self.rb_rom.time_grid, coeffs)
+    @abc.abstractmethod
+    def _predict(self, unit_mu: np.ndarray) -> np.ndarray:
+        """The fitted model's flat m x N coordinates at a unit-box parameter."""
+
+    def eval_state(self, mu) -> SpannedTrajectory:
+        """The predicted coordinates (zero before any fit) with the exact
+        reduced initial row; the coefficients are built only when read."""
+        rom = self.rb_rom
+        mu = rom.box.validate(mu)
+        shape = (self.temporal.dim, rom.dim)
+        coords = self._predict(rom.box.to_unit(mu)).reshape(shape) if self.size else np.zeros(shape)
+        return SpannedTrajectory(self.temporal, coords, initial=rom.init_coeffs)
 
     def eval_output(self, mu) -> OutputSignal:
         return self.rb_rom.output_of(self.eval_state(mu))
@@ -511,7 +519,8 @@ class LearnedGenerator(abc.ABC):
     T C_hat to TEMPORAL_TOL relative in the Frobenius norm; C_hat = T^T C
     unless C came with its own coordinates in the current basis. Each sample
     is kept once, as row i of a block that grows by doubling (sample i's
-    m x N coordinates, row-major); backends fit on views of it.
+    m x N coordinates, row-major); backends regress these rows in place on
+    the unit-box parameters (``_inputs``).
 
     Batch refits (``pending_threshold`` > 1) back off while the learned tier
     earns nothing: ``refit_interval`` starts at ``pending_threshold``, and when
@@ -573,6 +582,9 @@ class LearnedGenerator(abc.ABC):
 
     def _targets(self) -> np.ndarray:
         return self._rows[: len(self._mus)]
+
+    def _inputs(self) -> np.ndarray:
+        return np.array([self.rb_rom.box.to_unit(mu) for mu in self._mus])
 
     def extend(self, mu, trajectory: Optional[Trajectory] = None) -> None:
         """Store the trajectory at mu (the RB solution by default); a stored

@@ -277,6 +277,18 @@ class TestMlpBackend:
             assert err <= m.eps * (1 + 1e-10)
         assert len(m.records) == 10
 
+    def test_per_extend_trains_from_two_samples_on(self, heat_problem):
+        # one stored sample leaves no training row after the validation split
+        m = make_adaptive_model(heat_problem, eps=1e-2, ml_backend="mlp")
+        fom = FullOrderModel(heat_problem)
+        rng = np.random.default_rng(25)
+        for count in range(1, 5):
+            mu = heat_problem.box.sample(rng)
+            sig, rec = m.query(mu)
+            assert l2_time_norm(fom.eval_output(mu) - sig) <= m.eps * (1 + 1e-10)
+            assert m.ml_generator.trainings == count - 1
+        assert [e["samples"] for e in m.events if e["kind"] == "ml_train"] == [2, 3, 4]
+
 
 class ZeroGenerator(LearnedGenerator):
     """A learned tier that learns nothing: it predicts zero coordinates (the

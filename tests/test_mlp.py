@@ -259,25 +259,25 @@ def rb_stack(heat_problem):
 class TestPredictState:
     def test_zero_params_prediction(self, rb_stack):
         problem, fom, gen, rom, mus = rb_stack
-        from certrom.mlp import InputScaler
-
-        scaler = InputScaler(problem.box, problem.time_grid.t_end)
-        traj = DnnRom(rom, None, scaler).eval_state(mus[0])
+        dgen = DnnGenerator(rom)
+        dgen.extend(mus[0])
+        traj = DnnRom(rom, None, dgen.temporal).eval_state(mus[0])
         assert np.allclose(traj.coeffs[0], rom.init_coeffs)
         assert np.allclose(traj.coeffs[1:], 0.0)
 
-    def test_batched_equals_per_node_forward(self, rb_stack):
+    def test_prediction_is_the_forward_pass_in_the_temporal_basis(self, rb_stack):
         problem, fom, gen, rom, mus = rb_stack
-        from certrom.mlp import InputScaler
-
-        rng = np.random.default_rng(11)
-        sizes = [problem.box.dim + 1, 8, rom.dim]
-        params = init_params(sizes, rng)
-        scaler = InputScaler(problem.box, problem.time_grid.t_end)
-        traj = DnnRom(rom, params, scaler).eval_state(mus[0])
-        for k in (1, 7, 23):
-            x = scaler.scale(np.concatenate([mus[0], [problem.time_grid.nodes[k]]]))
-            assert np.allclose(traj.coeffs[k], mlp_forward(params, x), atol=1e-12)
+        dgen = DnnGenerator(rom)
+        for mu in mus[:3]:
+            dgen.extend(mu)
+        basis = dgen.time_basis
+        sizes = [problem.box.dim, 8, basis.shape[1] * rom.dim]
+        params = init_params(sizes, np.random.default_rng(11))
+        traj = DnnRom(rom, params, dgen.temporal).eval_state(mus[0])
+        coords = mlp_forward(params, problem.box.to_unit(mus[0])).reshape(basis.shape[1], rom.dim)
+        assert np.array_equal(traj.coordinates, coords)
+        assert np.array_equal(traj.coeffs[0], rom.init_coeffs)
+        assert np.allclose(traj.coeffs[1:], (basis @ coords)[1:], rtol=0, atol=1e-14 * np.abs(coords).max())
 
 
 class TestGenerator:
@@ -297,7 +297,9 @@ class TestGenerator:
         problem, fom, gen, rom, mus = rb_stack
         dgen = DnnGenerator(rom, hidden=(8,), config=TrainConfig(seed=3, max_epochs=5), pending_threshold=1)
         dgen.extend(mus[0])
+        dgen.extend(mus[1])
         dgen.precompute(force=True)
+        assert dgen.params.sizes == [problem.box.dim, 8, dgen.time_basis.shape[1] * rom.dim]
         out = dgen.prolong(rom)
         assert np.array_equal(flat(out.params), flat(dgen.params))
 
@@ -305,7 +307,9 @@ class TestGenerator:
         problem, fom, gen, rom, mus = rb_stack
         dgen = DnnGenerator(rom, hidden=(8,), config=TrainConfig(seed=4, max_epochs=5), pending_threshold=1)
         dgen.extend(mus[0])
+        dgen.extend(mus[1])
         ml_before = dgen.precompute(force=True)
+        assert ml_before.params is not None
 
         grown = RbGenerator(fom, eps=1e-3)
         for mu in mus[:3]:
@@ -338,13 +342,14 @@ class TestGenerator:
         dgen = DnnGenerator(rom, hidden=(8,), config=cfg, pending_threshold=1)
         for mu in mus[:3]:
             dgen.extend(mu)
-        dgen.precompute()
+        assert dgen.precompute().params is not None
         assert dgen.discard([True, False, True]) == 1
         assert dgen.params is None
         retrained = dgen.precompute(force=True).params
 
-        xs, ys = dgen._training_arrays()
-        sizes = [xs.shape[1], 8, rom.dim]
+        xs = np.array([problem.box.to_unit(mu) for mu, _ in dgen.samples])
+        ys = np.array([coords.ravel() for _, coords in dgen.samples])
+        sizes = [problem.box.dim, 8, ys.shape[1]]
         cold = mlp_train(xs, ys, sizes, replace(cfg, seed=cfg.seed + 1)).params
         assert np.array_equal(flat(retrained), flat(cold))
 

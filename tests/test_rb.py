@@ -545,23 +545,37 @@ class TestTemporalEstimate:
         assert rom.est_state_for(traj, mu) <= rom.est_state_for(traj, mu, temporal)
         assert temporal.counts["temporal"] == 1
 
-    def test_random_trajectory_and_network_prediction_take_the_step_path(self, heat_problem):
+    def test_random_trajectory_takes_the_step_path(self, heat_problem):
         rom = assemble_rb_rom(heat_problem, snapshot_basis(heat_problem, [[0.7, 1.8], [1.9, 0.6]])[:, :4])
         rng = np.random.default_rng(12)
         mus = [heat_problem.box.sample(rng) for _ in range(3)]
         store = VkogaGenerator(rom)
-        network = DnnGenerator(rom, hidden=(8,), config=TrainConfig(seed=0, max_epochs=3))
         for mu in mus:
             store.extend(mu)
-            network.extend(mu)
-        assert 0 < store.temporal.dim and store.temporal.saves_work()
+        temporal = store.temporal
+        assert 0 < temporal.dim and temporal.saves_work()
         coeffs = rng.normal(size=(heat_problem.time_grid.num_nodes, rom.dim))
         coeffs[0] = rom.init_coeffs
-        cases = (
-            (Trajectory(heat_problem.time_grid, coeffs), store.temporal),
-            (network.precompute(force=True).eval_state(mus[0]), network.temporal),
-        )
-        for traj, temporal in cases:
-            estimate = rom.est_output_for(traj, mus[0], temporal)
-            assert temporal.counts["k_step"] == 1 and temporal.counts["temporal"] == 0
-            assert estimate == rom.est_output_for(traj, mus[0])
+        traj = Trajectory(heat_problem.time_grid, coeffs)
+        estimate = rom.est_output_for(traj, mus[0], temporal)
+        assert temporal.counts["k_step"] == 1 and temporal.counts["temporal"] == 0
+        assert estimate == rom.est_output_for(traj, mus[0])
+
+    @pytest.mark.parametrize("backend", ["vkoga", "mlp"])
+    def test_learned_predictions_take_the_temporal_path(self, heat_problem, backend):
+        rom = assemble_rb_rom(heat_problem, snapshot_basis(heat_problem, [[0.7, 1.8], [1.9, 0.6]])[:, :4])
+        rng = np.random.default_rng(12)
+        mus = [heat_problem.box.sample(rng) for _ in range(4)]
+        if backend == "vkoga":
+            gen = VkogaGenerator(rom)
+        else:
+            gen = DnnGenerator(rom, hidden=(8,), config=TrainConfig(seed=0, max_epochs=3))
+        for mu in mus[:3]:
+            gen.extend(mu)
+        ml = gen.precompute(force=True)
+        temporal = gen.temporal
+        assert ml.size > 0 and temporal.saves_work()
+        traj = ml.eval_state(mus[3])
+        estimate = rom.est_output_for(traj, mus[3], temporal)
+        assert temporal.counts["temporal"] == 1 and temporal.counts["k_step"] == 0
+        assert estimate == pytest.approx(rom.est_output_for(traj, mus[3]), rel=1e-8)

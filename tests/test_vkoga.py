@@ -266,14 +266,10 @@ class TestGenerator:
                 gen.precompute(force=True)
                 (ys,) = fitted_targets
                 assert len(gen.samples) == count, type(gen).__name__
-                for i, (_, coeffs) in enumerate(gen.samples):
+                assert ys.shape == (count, gen.samples[0][1].size), type(gen).__name__
+                for _, coeffs in gen.samples:  # both backends regress the stored coordinates
                     assert not coeffs.flags.writeable
-                    if isinstance(gen, VkogaGenerator):  # regresses the stored coordinates
-                        assert np.shares_memory(coeffs, ys)
-                    else:  # trains on the trajectories they rebuild, one row per time node
-                        K = gen.time_basis.shape[0]
-                        rebuilt = gen.time_basis @ coeffs
-                        assert np.allclose(ys[i * K : (i + 1) * K], rebuilt, rtol=0, atol=1e-13 * np.abs(rebuilt).max())
+                    assert np.shares_memory(coeffs, ys), type(gen).__name__
 
             for mu in mus[:3]:
                 gen.extend(mu)
@@ -330,16 +326,18 @@ class TestProlong:
         assert np.array_equal(new[:, : rom_a.dim], old)
         assert np.allclose(new[:, rom_a.dim :], 0.0)
 
-    def test_prolonged_model_reconstructs_same_full_order_prediction(self, trained_stack):
+    @pytest.mark.parametrize("make", LEARNED_BACKENDS, ids=("vkoga", "mlp"))
+    def test_prolonged_model_reconstructs_same_full_order_prediction(self, trained_stack, make):
         problem, fom, rb_gen, rom, mus = trained_stack
         gen2 = RbGenerator(fom, eps=1e-3)
         for mu in mus[:2]:
             gen2.extend(mu)
         rom_a = gen2.precompute()
-        ml_gen = VkogaGenerator(rom_a)
+        ml_gen = make(rom_a)
         for mu in mus[:2]:
             ml_gen.extend(mu)
-        ml_a = ml_gen.precompute()
+        ml_a = ml_gen.precompute(force=True)
+        assert ml_a.size > 0
         before = ml_a.eval_state(mus[0]).coeffs @ rom_a.basis.T
 
         gen2.extend([1.93, 0.57])
@@ -406,6 +404,22 @@ class TestTemporalBasis:
         stored[tuple(mus[3])] = rom_b.eval_state(mus[3]).coeffs
         gen.extend(mus[3])
         check()
+
+    @pytest.mark.parametrize("make", LEARNED_BACKENDS, ids=("vkoga", "mlp"))
+    def test_growth_after_a_fit_keeps_the_prediction(self, trained_stack, make):
+        problem, fom, rb_gen, rom, mus = trained_stack
+        gen = make(rom)
+        for mu in mus[:2]:
+            gen.extend(mu)
+        before = gen.precompute(force=True).eval_state(mus[3])
+        m = gen.time_basis.shape[1]
+        gen.extend(mus[2])
+        assert gen.time_basis.shape[1] > m and gen.trainings == 1
+        after = gen.current_model().eval_state(mus[3])
+        scale = np.abs(before.coordinates).max()
+        assert np.allclose(after.coordinates[:m], before.coordinates, rtol=0, atol=1e-14 * scale)
+        assert not after.coordinates[m:].any()
+        assert np.allclose(after.coeffs, before.coeffs, rtol=0, atol=1e-14 * scale)
 
     def test_warm_refit_after_growth_matches_cold_fit(self, trained_stack):
         problem, fom, rb_gen, rom, mus = trained_stack
