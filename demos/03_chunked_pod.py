@@ -5,7 +5,6 @@ guarantees the final mean-square projection error of all inputs.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from certrom import HapodConfig, IncrementalHapod
 
@@ -14,10 +13,9 @@ dim, count = 40, 400
 factors = rng.normal(size=(dim, 6))
 weights = rng.normal(size=(6, count)) * (10.0 ** -np.arange(6))[:, None]
 data = factors @ weights + 1e-8 * rng.normal(size=(dim, count))
-gram = sp.identity(dim, format="csr")
 
 eps = 1e-4
-hapod = IncrementalHapod(gram, HapodConfig(eps_pod=eps, chunk=50), n_expected=count)
+hapod = IncrementalHapod(dim, HapodConfig(eps_pod=eps, chunk=50), n_expected=count)
 peak = 0
 for start in range(0, count, 50):
     hapod.feed(data[:, start : start + 50])
@@ -26,8 +24,7 @@ modes, svals = hapod.finalize()
 
 proj = modes @ (modes.T @ data)
 mean_sq = np.mean(np.sum((data - proj) ** 2, axis=0))
-# one-shot reference: the Gram is the identity, so the POD modes are the left
-# singular vectors; keep every mode whose removal, with all after it, would
+# one-shot reference: the POD modes are the left singular vectors; keep every mode whose removal, with all after it, would
 # exceed the mean-square budget
 tails = np.cumsum(np.linalg.svd(data, compute_uv=False)[::-1] ** 2)[::-1]
 reference = int(np.sum(tails > count * eps**2))

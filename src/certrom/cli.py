@@ -136,6 +136,7 @@ def _cmd_optimize(args, cfg, problem, settings) -> int:
         initial_point=mu0,
         max_evals=args.max_evals if args.max_evals is not None else cfg.get("max_evals", 400),
     )
+    nm.start(problem.box)  # rejects a wrong-length initial_mu before any full-order solve
     model = _make_model(problem, settings)  # rejects a bad setting before any full-order solve
     mu_ref = np.asarray(cfg.get("reference_mu", problem.box.center), dtype=float)
     reference = FullOrderModel(problem).eval_output(mu_ref)

@@ -494,7 +494,10 @@ class EnergyFactor:
     """P G P^T = L D L^T of an SPD Gram G from one sparse LU in symmetric mode,
     kept as plain arrays with G itself: the order of P, the unit lower L and
     D^-1/2. ``whiten`` maps functionals F to D^-1/2 L^-1 P F, whose Euclidean
-    inner products are F^T G^-1 F: a dual norm is a Euclidean norm of them."""
+    inner products are F^T G^-1 F: a dual norm is a Euclidean norm of them.
+    ``whiten_states`` maps states u to R u with R = D^1/2 L^T P, whose
+    Euclidean inner products are u^T G v: an energy-orthonormal set is a
+    Euclidean-orthonormal one of them, and ``unwhiten_states`` maps it back."""
 
     def __init__(self, gram):
         self.gram = gram
@@ -513,7 +516,23 @@ class EnergyFactor:
     def whiten(self, functionals: np.ndarray) -> np.ndarray:
         """D^-1/2 L^-1 P F for one functional or a block of them (columns)."""
         solved = spla.spsolve_triangular(self.lower, functionals[self.order], lower=True, unit_diagonal=True)
-        return solved * (self.inv_sqrt_pivots if solved.ndim == 1 else self.inv_sqrt_pivots[:, None])
+        return solved * self._pivot_scale(solved)
+
+    def _pivot_scale(self, x: np.ndarray) -> np.ndarray:
+        return self.inv_sqrt_pivots if x.ndim == 1 else self.inv_sqrt_pivots[:, None]
+
+    def whiten_states(self, states: np.ndarray) -> np.ndarray:
+        """R u = D^1/2 L^T P u for one state or a block of them (columns), as
+        a new array: one product with the CSR view of L^T."""
+        return (self.lower.T @ states[self.order]) / self._pivot_scale(states)
+
+    def unwhiten_states(self, whitened: np.ndarray) -> np.ndarray:
+        """R^-1 w = P^T L^-T D^-1/2 w: one unit upper-triangular solve."""
+        solved = spla.spsolve_triangular(self.lower.T, whitened * self._pivot_scale(whitened), lower=False,
+                                         unit_diagonal=True)
+        states = np.empty_like(solved)
+        states[self.order] = solved
+        return states
 
 
 def energy_product(op: AffineOperator, mu_bar) -> EnergyFactor:

@@ -15,12 +15,12 @@ from .fom import FullOrderModel
 from .rb import EstimatorBuilder, RbRom, assemble_rb_rom, orthonormalize
 
 
-def gram_schmidt(vectors, gram, existing: Optional[np.ndarray] = None, drop_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormalize columns w.r.t. the Gram inner product, against an optional
+def gram_schmidt(vectors, existing: Optional[np.ndarray] = None, drop_tol: float = 1e-10) -> np.ndarray:
+    """Orthonormalize columns in the Euclidean product, against an optional
     existing orthonormal set; two projection passes, near-dependent columns are
     dropped (post-projection norm below drop_tol times the original norm).
     Returns only the new columns of ``orthonormalize``."""
-    return orthonormalize(vectors, gram, existing, drop_tol)[0]
+    return orthonormalize(vectors, existing, drop_tol)[0]
 
 
 OMEGA = 0.75  # share of the error budget left for the final POD
@@ -30,7 +30,7 @@ OMEGA = 0.75  # share of the error budget left for the final POD
 class HapodConfig:
     """Tolerances of the incremental compression.
 
-    eps_pod bounds the final root-mean-square Gram-projection error of all fed
+    eps_pod bounds the final root-mean-square projection error of all fed
     vectors; OMEGA splits the error budget between intermediate chunk PODs and
     the final one.
     """
@@ -47,19 +47,19 @@ class HapodConfig:
 class IncrementalHapod:
     """Chunked POD with carried scaled modes.
 
-    Feeding n_expected vectors in chunks and finalizing yields Gram-orthonormal
-    modes with total squared projection error of all inputs bounded by
-    n_expected * eps_pod**2: intermediate truncations share a
+    Feeding n_expected vectors of length dim in chunks and finalizing yields
+    orthonormal modes with total squared projection error of all inputs
+    bounded by n_expected * eps_pod**2: intermediate truncations share a
     (1 - OMEGA) * sqrt(n) * eps budget evenly, the final one gets
     OMEGA * sqrt(n) * eps, and the telescoping triangle inequality in the
-    Gram-weighted Frobenius norm does the rest.
+    Frobenius norm does the rest. Everything is Euclidean: energy-weighted
+    inputs are fed in whitened coordinates (``EnergyFactor.whiten_states``).
     """
 
-    def __init__(self, gram, config: HapodConfig, n_expected: int):
-        self.gram = gram
+    def __init__(self, dim: int, config: HapodConfig, n_expected: int):
         self.config = config
         self.n_expected = int(n_expected)
-        self.modes = np.zeros((gram.shape[0], 0))
+        self.modes = np.zeros((dim, 0))
         self.svals = np.zeros(0)
         self._buffer = []  # 2-D blocks fed since the last compression
         self._buffered = 0  # their column count
@@ -106,15 +106,14 @@ class IncrementalHapod:
         data = ([carried] if carried.size else []) + self._buffer
         self._buffer, self._buffered = [], 0
         if data:
-            self.modes, self.svals = _pod(np.hstack(data), self.gram, budget**2)
+            self.modes, self.svals = _pod(np.hstack(data), budget**2)
 
 
-def _pod(x: np.ndarray, gram, squared_budget: float):
-    """Method-of-snapshots POD w.r.t. the Gram product; discards trailing modes
-    while the discarded squared mass stays within the budget."""
-    inner = x.T @ (gram @ x)
-    inner = 0.5 * (inner + inner.T)
-    w, v = np.linalg.eigh(inner)
+def _pod(x: np.ndarray, squared_budget: float):
+    """Method-of-snapshots POD (an eigendecomposition of x^T x, cheaper than a
+    thin SVD of x for tall chunks); discards trailing modes while the
+    discarded squared mass stays within the budget."""
+    w, v = np.linalg.eigh(x.T @ x)
     w = w[::-1]
     v = v[:, ::-1]
     w = np.clip(w, 0.0, None)
@@ -154,6 +153,11 @@ class RbGenerator:
     """Streams full-order trajectories through the chunked POD into a growing,
     nested reduced basis, and precomputes certified reduced models from it.
 
+    The basis is held twice: ``basis`` (Phi, energy-orthonormal, for the
+    reduced models) and its whitened copy R Phi (Euclidean-orthonormal, see
+    ``EnergyFactor.whiten_states``), in which each streamed chunk is
+    projected, compressed and orthonormalized.
+
     ``eps`` is the one stored copy of the active output tolerance
     (``AdaptiveModel.eps`` reads and writes it); ``precompute`` certifies
     against it. It must be positive (``inf`` accepts every estimate).
@@ -169,6 +173,7 @@ class RbGenerator:
         self._pending = []  # extended since the last precompute, not yet certified
         problem = fom.problem
         self.basis = np.zeros((problem.dim, 0))
+        self._whitened = np.zeros((problem.dim, 0))
         self._builder = EstimatorBuilder(problem)
         self._rom: Optional[RbRom] = None
         self.peak_full_vectors = 0
@@ -195,7 +200,8 @@ class RbGenerator:
     _DEFLATION = 1e-10  # relative to the raw trajectory scale
 
     def _stream_remains(self, mu, eps_pod: float) -> np.ndarray:
-        """FOM solve streamed chunkwise: project off the current basis, compress.
+        """FOM solve streamed chunkwise: whiten, project off the current
+        basis, compress; returns whitened modes.
 
         Modes carrying less than the deflation fraction of the raw trajectory
         scale are discarded: a re-visited parameter whose trajectory already
@@ -203,7 +209,7 @@ class RbGenerator:
         """
         problem = self.fom.problem
         cfg = HapodConfig(eps_pod, self.hapod.chunk)
-        state = IncrementalHapod(problem.gram, cfg, problem.time_grid.num_nodes)
+        state = IncrementalHapod(problem.dim, cfg, problem.time_grid.num_nodes)
         block = np.empty((problem.dim, cfg.chunk))  # every full chunk is written here
         filled = 0
         raw_scale = 0.0
@@ -214,20 +220,22 @@ class RbGenerator:
             if filled == cfg.chunk:
                 raw_scale = max(raw_scale, self._feed_projected(state, block))
                 filled = 0
-        if filled:  # contiguous like a full chunk, so the scale sums in the same order
-            raw_scale = max(raw_scale, self._feed_projected(state, block[:, :filled].copy()))
+        if filled:
+            raw_scale = max(raw_scale, self._feed_projected(state, block[:, :filled]))
         modes, svals = state.finalize()
         self._track(state, 0)
         keep = svals > self._DEFLATION * raw_scale
         return modes[:, keep]
 
     def _feed_projected(self, state: IncrementalHapod, x: np.ndarray) -> float:
-        """Feed the chunk x (columns are states) projected off the basis, as a
-        new array, since x is the block the next chunk is written into;
-        returns the largest energy norm of its states."""
-        gx = self.fom.problem.gram @ x
-        scale = float(np.sqrt(max(np.max(np.einsum("ij,ij->j", x, gx)), 0.0)))
-        state.feed(x - self.basis @ (self.basis.T @ gx) if self.basis.shape[1] else x.copy())
+        """Feed the chunk x (columns are states) whitened, a new array since x
+        is the block the next chunk is written into, and projected off the
+        basis; returns the largest energy norm of its states."""
+        w = self.fom.problem.energy.whiten_states(x)
+        scale = float(np.sqrt(np.max(np.einsum("ij,ij->j", w, w))))
+        if self._whitened.shape[1]:
+            w -= self._whitened @ (self._whitened.T @ w)
+        state.feed(w)
         return scale
 
     def extend(self, mu) -> None:
@@ -243,18 +251,20 @@ class RbGenerator:
             if all(seen is not pending for pending in self._pending):
                 self._pending.append(seen)
             return
-        self._grow(problem.initial_vector())
+        self._grow(problem.energy.whiten_states(problem.initial_vector()))
         remains = self._stream_remains(mu, self.hapod.eps_pod)
         self.mus.append(mu.copy())
         self._pending.append(self.mus[-1])
         self._grow(remains)
 
-    def _grow(self, vectors: np.ndarray):
-        """Append the directions of ``vectors`` not yet in the basis (zero
-        columns and columns already in its span add none)."""
-        new_columns = gram_schmidt(vectors, self.fom.problem.gram, existing=self.basis)
-        if new_columns.size == 0:
+    def _grow(self, whitened: np.ndarray):
+        """Append the directions of the whitened vectors not yet in the basis
+        (zero columns and columns already in its span add none)."""
+        new_whitened = gram_schmidt(whitened, existing=self._whitened)
+        if new_whitened.size == 0:
             return
+        new_columns = self.fom.problem.energy.unwhiten_states(new_whitened)
+        self._whitened = np.hstack([self._whitened, new_whitened])
         self.basis = np.hstack([self.basis, new_columns])
         self._builder.add_basis_columns(new_columns)
         self._rom = None

@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import check_count
 from .rb import LearnedGenerator, LearnedRom, RbRom, SpannedTrajectory, TemporalBasis, _pad_flat, _reserve_rows
 
 POWER_FLOOR = 1e-12  # squared power function below this is numerically exhausted
@@ -34,6 +35,8 @@ class KernelConfig:
     def __post_init__(self):
         if self.gamma is not None and not self.gamma > 0.0:
             raise ValueError("kernel width gamma must be positive")
+        if self.max_centers is not None:
+            check_count("max_centers", self.max_centers, 1)
 
 
 class KernelModel:

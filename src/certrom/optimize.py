@@ -34,6 +34,13 @@ class NelderMeadConfig:
             raise ValueError("convergence tolerances must be positive")
         check_count("evaluation budget max_evals", self.max_evals, 1)
 
+    def start(self, box: ParameterBox) -> np.ndarray:
+        """The initial point clipped into the box; raises ValueError unless it
+        has one entry per parameter (a shorter one would broadcast)."""
+        if self.initial_point.shape != (box.dim,):
+            raise ValueError(f"initial_point must have shape ({box.dim},), got {self.initial_point.shape}")
+        return box.clip(self.initial_point)
+
 
 @dataclass
 class NelderMeadResult:
@@ -81,7 +88,7 @@ def nelder_mead(
             points.append(point)
         return points
 
-    simplex = seed(box.clip(cfg.initial_point))
+    simplex = seed(cfg.start(box))
     values = [f(p) for p in simplex]
 
     converged = False

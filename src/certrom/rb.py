@@ -27,10 +27,10 @@ TEMPORAL_TOL = 1e-12  # relative Frobenius tail the learned samples' temporal ba
 TAIL_SHARE = 1e-3
 
 
-def orthonormalize(vectors, gram=None, existing: Optional[np.ndarray] = None, drop_tol: float = 1e-10):
-    """Two-pass Gram-Schmidt of the columns w.r.t. the Gram inner product (the
-    Euclidean one when ``gram`` is None), against an optional existing
-    orthonormal set.
+def orthonormalize(vectors, existing: Optional[np.ndarray] = None, drop_tol: float = 1e-10):
+    """Two-pass Euclidean Gram-Schmidt of the columns, against an optional
+    existing orthonormal set. (Energy-orthonormal sets are grown in the
+    whitened coordinates of ``EnergyFactor.whiten_states``.)
 
     Each column is projected twice against [existing | the new directions of
     the columns before it]. The first pass against the existing set does not
@@ -48,10 +48,9 @@ def orthonormalize(vectors, gram=None, existing: Optional[np.ndarray] = None, dr
         cols = cols[:, None]
     num_old = 0 if existing is None else existing.shape[1]
     coords = np.zeros((num_old + cols.shape[1], cols.shape[1]))
-    weighted = cols if gram is None else gram @ cols
-    origs = np.sqrt(np.maximum(np.einsum("ij,ij->j", cols, weighted), 0.0))
+    origs = np.sqrt(np.einsum("ij,ij->j", cols, cols))
     if num_old:
-        coords[:num_old] = existing.T @ weighted
+        coords[:num_old] = existing.T @ cols
         cols -= existing @ coords[:num_old]
     kept = np.empty(cols.shape)  # the first `count` columns are the new directions
     count = 0
@@ -65,10 +64,10 @@ def orthonormalize(vectors, gram=None, existing: Optional[np.ndarray] = None, dr
         else:
             blocks = blocks * 2
         for offset, block in blocks:
-            c = block.T @ (v if gram is None else gram @ v)
+            c = block.T @ v
             v = v - block @ c
             coords[offset : offset + c.size, j] += c
-        norm = math.sqrt(max(v @ (v if gram is None else gram @ v), 0.0))
+        norm = math.sqrt(v @ v)
         if norm < drop_tol * orig:
             continue
         coords[num_old + count, j] = norm

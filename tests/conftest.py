@@ -42,6 +42,13 @@ def small_reactive_problem():
     return build_reactive_flow(ReactiveFlowConfig(nx=20, ny=8, num_time_nodes=101))
 
 
+@pytest.fixture(scope="session")
+def coarse_reactive():
+    from certrom import ReactiveFlowConfig, build_reactive_flow
+
+    return build_reactive_flow(ReactiveFlowConfig())  # 2,121 DoFs, K = 1001
+
+
 def count_calls(monkeypatch, owner, name) -> list:
     """Patch owner.name to record each call before delegating; returns the record."""
     calls = []

@@ -5,7 +5,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from certrom import FomProblem, MlpParams, Trajectory
+from certrom import EnergyFactor, FomProblem, MlpParams, Trajectory, gram_schmidt
 from certrom.hapod import _pod
 from certrom.mlp import EarlyStopper, _num_parameters, _Workspace, init_params, layer_views
 
@@ -40,12 +40,24 @@ def rb_residual_bruteforce(problem: FomProblem, basis_matrix: np.ndarray, traj: 
     return np.sqrt(np.maximum(np.einsum("ij,ij->j", residuals, reps), 0.0))
 
 
+def energy_gram_schmidt(vectors, gram, existing=None, drop_tol: float = 1e-10) -> np.ndarray:
+    """New Gram-orthonormal columns of ``vectors`` against the Gram-orthonormal
+    ``existing``: whiten, orthonormalize in the Euclidean product, unwhiten."""
+    energy = EnergyFactor(gram)
+    whitened_existing = None if existing is None else energy.whiten_states(existing)
+    new = gram_schmidt(energy.whiten_states(np.asarray(vectors, dtype=float)), whitened_existing, drop_tol)
+    return energy.unwhiten_states(new)
+
+
 def pod_modes(vectors: np.ndarray, gram, mean_square_tol: float):
-    """One-shot POD keeping enough modes for a mean-square projection error
-    below mean_square_tol**2 (the dense reference the chunked variant is
-    checked against)."""
+    """One-shot POD in the Gram product keeping enough modes for a mean-square
+    projection error below mean_square_tol**2 (the dense reference the
+    chunked variant is checked against): Gram-orthonormal modes and their
+    singular values."""
+    energy = EnergyFactor(gram)
     n = vectors.shape[1]
-    return _pod(np.asarray(vectors, dtype=float), gram, n * mean_square_tol**2)
+    modes, svals = _pod(energy.whiten_states(np.asarray(vectors, dtype=float)), n * mean_square_tol**2)
+    return energy.unwhiten_states(modes), svals
 
 
 def zero_params(sizes) -> MlpParams:

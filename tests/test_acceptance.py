@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 
 from certrom import (
+    EnergyFactor,
     FullOrderModel,
     HapodConfig,
     IncrementalHapod,
     KernelConfig,
     NelderMeadConfig,
     RbGenerator,
-    ReactiveFlowConfig,
     StagnationConfig,
     Trajectory,
     VkogaGenerator,
     assemble_rb_rom,
     build_building,
-    build_reactive_flow,
-    gram_schmidt,
     l2_time_norm,
     make_adaptive_model,
     monte_carlo,
@@ -29,12 +27,7 @@ from certrom import (
 from certrom.mlp import init_params
 
 from conftest import record_acceptance
-from oracles import mlp_loss_grad, pod_modes, rb_residual_bruteforce
-
-
-@pytest.fixture(scope="module")
-def coarse_reactive():
-    return build_reactive_flow(ReactiveFlowConfig())  # 2,121 DoFs, K = 1001
+from oracles import energy_gram_schmidt, mlp_loss_grad, pod_modes, rb_residual_bruteforce
 
 
 def state_l2_error(problem, full_traj, reconstructed):
@@ -74,7 +67,7 @@ def test_criterion_2_estimator_upper_bounds(heat_problem):
     snapshots = np.hstack(
         [fom.eval_state(np.array(mu)).coeffs.T for mu in ([0.6, 0.6], [1.9, 1.9], [0.7, 1.8])]
     )
-    basis = gram_schmidt(snapshots, heat_problem.gram, drop_tol=1e-13)
+    basis = energy_gram_schmidt(snapshots, heat_problem.gram, drop_tol=1e-13)
     assert basis.shape[1] >= 8
     rng = np.random.default_rng(7)
     mus = [heat_problem.box.sample(rng) for _ in range(20)]
@@ -132,7 +125,7 @@ def test_criterion_4_offline_online_equivalence(heat_problem):
     snapshots = np.hstack(
         [fom.eval_state(np.array(mu)).coeffs.T for mu in ([0.8, 1.7], [1.6, 0.8])]
     )
-    basis = gram_schmidt(snapshots, heat_problem.gram)[:, :10]
+    basis = energy_gram_schmidt(snapshots, heat_problem.gram)[:, :10]
     rom = assemble_rb_rom(heat_problem, basis)
     rng = np.random.default_rng(13)
     worst = 0.0
@@ -301,12 +294,13 @@ def test_criterion_10_hapod_bound():
     rng = np.random.default_rng(17)
     m = rng.normal(size=(20, 20))
     gram = sp.csr_matrix(m @ m.T + 20 * np.eye(20))
+    energy = EnergyFactor(gram)
     data = rng.normal(size=(20, 50))
     eps = 1e-6
-    hapod = IncrementalHapod(gram, HapodConfig(eps, chunk=10), n_expected=50)
+    hapod = IncrementalHapod(20, HapodConfig(eps, chunk=10), n_expected=50)
     for start in range(0, 50, 10):
-        hapod.feed(data[:, start : start + 10])
-    modes, _ = hapod.finalize()
+        hapod.feed(energy.whiten_states(data[:, start : start + 10]))
+    modes = energy.unwhiten_states(hapod.finalize()[0])
 
     proj = modes @ (modes.T @ (gram @ data))
     defect = data - proj

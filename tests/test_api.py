@@ -6,7 +6,7 @@ import inspect
 
 import certrom
 from certrom import KernelConfig, make_adaptive_model
-from certrom import hapod, mlp
+from certrom import hapod, mlp, rb
 
 
 def test_test_references_are_not_in_the_package():
@@ -24,3 +24,9 @@ def test_make_adaptive_model_takes_no_wiring_options():
     assert list(inspect.signature(make_adaptive_model).parameters) == [
         "problem", "eps", "ml_backend", "retrain", "batch_threshold", "seed",
     ]
+
+
+def test_orthonormalizers_and_the_compression_take_no_gram():
+    # energy-weighted sets are grown in whitened coordinates (EnergyFactor.whiten_states)
+    for function in (rb.orthonormalize, hapod.gram_schmidt, hapod.IncrementalHapod, hapod._pod):
+        assert "gram" not in inspect.signature(function).parameters, function.__name__

@@ -283,6 +283,15 @@ class TestCli:
         assert "usage error: eps must be positive, got -1.0" in capsys.readouterr().err
         assert solves == []
 
+    def test_wrong_length_initial_mu_is_a_usage_error_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        solves = count_calls(monkeypatch, FullOrderModel, "iter_state")
+        cfg = write_config(tmp_path, reference_mu=[1.25, 1.25], initial_mu=[0.7])
+        code = cli(["optimize", "--config", cfg, "--out", str(tmp_path / "opt")])
+        assert code == 1
+        assert "usage error: initial_point must have shape (2,), got (1,)" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "opt" / "optimize.json")
+        assert solves == []  # rejected before the reference solve
+
     def test_stagnation_settings_reach_the_optimizer(self, tmp_path, monkeypatch):
         seen = []
 

@@ -3,16 +3,16 @@ import pytest
 import scipy.sparse as sp
 
 from certrom import (
+    EnergyFactor,
     FullOrderModel,
     HapodConfig,
     IncrementalHapod,
     NumericalError,
     RbGenerator,
-    gram_schmidt,
     load_basis,
     save_basis,
 )
-from oracles import pod_modes
+from oracles import energy_gram_schmidt, pod_modes
 
 
 def random_spd_gram(n, seed):
@@ -25,7 +25,7 @@ class TestGramSchmidt:
     def test_orthonormal_input_unchanged_up_to_sign(self):
         g = sp.identity(5, format="csr")
         q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(5, 3)))
-        out = gram_schmidt(q, g)
+        out = energy_gram_schmidt(q, g)
         assert out.shape == q.shape
         for j in range(3):
             assert abs(abs(out[:, j] @ q[:, j]) - 1.0) < 1e-12
@@ -33,27 +33,27 @@ class TestGramSchmidt:
     def test_elementary_pair(self):
         g = sp.identity(3, format="csr")
         vecs = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-        out = gram_schmidt(vecs, g)
+        out = energy_gram_schmidt(vecs, g)
         assert np.allclose(out[:, 0], [1, 0, 0])
         assert np.allclose(np.abs(out[:, 1]), [0, 1, 0])
 
     def test_random_vectors_random_gram(self):
         g = random_spd_gram(12, 1)
         vecs = np.random.default_rng(2).normal(size=(12, 10))
-        out = gram_schmidt(vecs, g)
+        out = energy_gram_schmidt(vecs, g)
         eye = out.T @ (g @ out)
         assert np.max(np.abs(eye - np.eye(out.shape[1]))) <= 1e-10
 
     def test_dependent_vectors_dropped(self):
         g = sp.identity(4, format="csr")
         v = np.random.default_rng(3).normal(size=4)
-        out = gram_schmidt(np.column_stack([v, 2 * v, v + 1e-14 * np.ones(4)]), g)
+        out = energy_gram_schmidt(np.column_stack([v, 2 * v, v + 1e-14 * np.ones(4)]), g)
         assert out.shape[1] == 1
 
     def test_against_existing_basis(self):
         g = sp.identity(4, format="csr")
         existing = np.eye(4)[:, :2]
-        out = gram_schmidt(np.array([[1.0], [1.0], [1.0], [0.0]]), g, existing=existing)
+        out = energy_gram_schmidt(np.array([[1.0], [1.0], [1.0], [0.0]]), g, existing=existing)
         assert out.shape[1] == 1
         assert np.allclose(existing.T @ out, 0.0, atol=1e-12)
 
@@ -62,9 +62,9 @@ class TestGramSchmidt:
         # pass left along the existing set must not be amplified into it
         g = random_spd_gram(40, 4)
         rng = np.random.default_rng(5)
-        existing = gram_schmidt(rng.normal(size=(40, 20)), g)
+        existing = energy_gram_schmidt(rng.normal(size=(40, 20)), g)
         a, b = rng.normal(size=(2, 40))
-        out = gram_schmidt(np.column_stack([a, a + 1e-9 * b]), g, existing=existing)
+        out = energy_gram_schmidt(np.column_stack([a, a + 1e-9 * b]), g, existing=existing)
         full = np.hstack([existing, out])
         assert out.shape[1] == 2
         assert np.max(np.abs(full.T @ (g @ full) - np.eye(full.shape[1]))) <= 1e-12
@@ -73,19 +73,20 @@ class TestGramSchmidt:
 class TestIncrementalHapod:
     def test_single_vector(self):
         g = random_spd_gram(6, 4)
+        energy = EnergyFactor(g)
         v = np.random.default_rng(5).normal(size=6)
-        h = IncrementalHapod(g, HapodConfig(1e-6, chunk=4), n_expected=1)
-        h.feed(v)
+        h = IncrementalHapod(6, HapodConfig(1e-6, chunk=4), n_expected=1)
+        h.feed(energy.whiten_states(v))
         modes, svals = h.finalize()
+        modes = energy.unwhiten_states(modes)
         norm = np.sqrt(v @ (g @ v))
         assert modes.shape == (6, 1)
         assert svals[0] == pytest.approx(norm, rel=1e-12)
         assert np.allclose(np.abs(modes[:, 0]), np.abs(v / norm), atol=1e-12)
 
     def test_duplicated_vector_single_mode(self):
-        g = sp.identity(5, format="csr")
         v = np.random.default_rng(6).normal(size=5)
-        h = IncrementalHapod(g, HapodConfig(1e-6, chunk=2), n_expected=2)
+        h = IncrementalHapod(5, HapodConfig(1e-6, chunk=2), n_expected=2)
         h.feed(np.column_stack([v, v]))
         modes, _ = h.finalize()
         assert modes.shape[1] == 1
@@ -94,12 +95,13 @@ class TestIncrementalHapod:
         # 50 random vectors in a 20-dimensional space, chunked compression
         rng = np.random.default_rng(7)
         g = random_spd_gram(20, 8)
+        energy = EnergyFactor(g)
         data = rng.normal(size=(20, 50))
         eps = 1e-6
-        h = IncrementalHapod(g, HapodConfig(eps, chunk=10), n_expected=50)
+        h = IncrementalHapod(20, HapodConfig(eps, chunk=10), n_expected=50)
         for start in range(0, 50, 10):
-            h.feed(data[:, start : start + 10])
-        modes, _ = h.finalize()
+            h.feed(energy.whiten_states(data[:, start : start + 10]))
+        modes = energy.unwhiten_states(h.finalize()[0])
 
         proj = modes @ (modes.T @ (g @ data))
         defect = data - proj
@@ -116,11 +118,10 @@ class TestIncrementalHapod:
         stored-vector counts and the modes are those of column-by-column
         feeding, bit for bit."""
         rng = np.random.default_rng(9)
-        g = random_spd_gram(12, 10)
         data = rng.normal(size=(12, 23))
         results = []
         for widths in ([1] * 23, [23], [3, 7, 1, 12]):
-            h = IncrementalHapod(g, HapodConfig(1e-3, chunk=5), n_expected=23)
+            h = IncrementalHapod(12, HapodConfig(1e-3, chunk=5), n_expected=23)
             edges = np.cumsum([0, *widths])
             stored = []
             for lo, hi in zip(edges[:-1], edges[1:]):
@@ -137,8 +138,7 @@ class TestIncrementalHapod:
             HapodConfig(1e-6, chunk=chunk)
 
     def test_feed_after_finalize_rejected(self):
-        g = sp.identity(3, format="csr")
-        h = IncrementalHapod(g, HapodConfig(1e-6, chunk=2), n_expected=2)
+        h = IncrementalHapod(3, HapodConfig(1e-6, chunk=2), n_expected=2)
         h.feed(np.ones(3))
         h.finalize()
         with pytest.raises(RuntimeError):
@@ -221,10 +221,21 @@ class TestRbGenerator:
         # nothing to project off an empty basis: basis size equals the number
         # of compression modes of the trajectory (zero initial datum adds none)
         cfg = gen.hapod
-        h = IncrementalHapod(heat_problem.gram, cfg, heat_problem.time_grid.num_nodes)
-        h.feed(fom.eval_state(mu).coeffs.T)
+        h = IncrementalHapod(heat_problem.dim, cfg, heat_problem.time_grid.num_nodes)
+        h.feed(heat_problem.energy.whiten_states(fom.eval_state(mu).coeffs.T))
         modes, _ = h.finalize()
         assert gen.basis.shape[1] == modes.shape[1]
+
+    def test_basis_stays_orthonormal_beside_its_whitened_copy(self, heat_problem):
+        gen = RbGenerator(FullOrderModel(heat_problem), eps=1e-4, hapod=HapodConfig(eps_pod=1e-2))
+        for mu in ([0.6, 1.9], [1.8, 0.7], [1.2, 1.2], [0.9, 0.8]):
+            gen.extend(mu)
+        streamed = gen.basis.shape[1]
+        gen.precompute()  # re-streams at tighter eps_pod grow the basis further
+        basis = gen.basis
+        assert basis.shape[1] > streamed
+        assert np.max(np.abs(basis.T @ (heat_problem.gram @ basis) - np.eye(basis.shape[1]))) <= 1e-10
+        assert np.max(np.abs(heat_problem.energy.whiten_states(basis) - gen._whitened)) <= 1e-12
 
     def test_streaming_memory_bound(self, heat_problem):
         fom = FullOrderModel(heat_problem)

@@ -68,6 +68,15 @@ class TestNelderMead:
         with pytest.raises(ValueError, match="tolerances must be positive"):
             NelderMeadConfig(initial_point=[4.0, 4.0], **tolerances)
 
+    @pytest.mark.parametrize("initial_point", [[0.7], [0.7, 0.7, 0.7], 0.7], ids=["short", "long", "scalar"])
+    def test_initial_point_needs_one_entry_per_parameter(self, initial_point):
+        # a one-entry point on a 2-parameter box would broadcast to (0.7, 0.7)
+        box = ParameterBox(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        calls = []
+        with pytest.raises(ValueError, match=r"initial_point must have shape \(2,\)"):
+            nelder_mead(lambda x: calls.append(x) or 0.0, box, NelderMeadConfig(initial_point=initial_point))
+        assert calls == []
+
     @pytest.mark.parametrize("budget", [2.5, True], ids=["fraction", "bool"])
     def test_budget_must_be_a_count(self, budget):
         with pytest.raises(ValueError, match="budget"):

@@ -27,13 +27,12 @@ from certrom import (
     assemble_mass,
     assemble_rb_rom,
     build_grid,
-    gram_schmidt,
     l2_time_norm,
 )
 from certrom.rb import TEMPORAL_TOL, SpannedTrajectory, TemporalBasis
 
 from conftest import scalar_problem
-from oracles import rb_residual_bruteforce
+from oracles import energy_gram_schmidt, rb_residual_bruteforce
 
 
 def snapshot_basis(problem, mus, drop_tol=1e-13):
@@ -41,7 +40,7 @@ def snapshot_basis(problem, mus, drop_tol=1e-13):
     working precision so the trajectories genuinely lie in the span)."""
     fom = FullOrderModel(problem)
     cols = [fom.eval_state(np.asarray(mu)).coeffs.T for mu in mus]
-    return gram_schmidt(np.hstack(cols), problem.gram, drop_tol=drop_tol)
+    return energy_gram_schmidt(np.hstack(cols), problem.gram, drop_tol=drop_tol)
 
 
 class TestRiesz:
@@ -84,6 +83,32 @@ class TestRiesz:
     def test_indefinite_rejected(self):
         with pytest.raises(NumericalError, match="not SPD"):
             EnergyFactor(sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])))
+
+
+@pytest.fixture(scope="module")
+def energy_cases(heat_problem, coarse_reactive):
+    return {"heat_square": heat_problem, "coarse_reactive": coarse_reactive}
+
+
+class TestWhitenedStates:
+    """R = D^1/2 L^T P of the energy factor: Euclidean products of whitened
+    states are energy products, and unwhitening inverts it."""
+
+    @pytest.mark.parametrize("case", ["heat_square", "coarse_reactive"])
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), log_spread=st.floats(0.0, 6.0))
+    def test_whitened_products_are_energy_products(self, energy_cases, case, seed, log_spread):
+        problem = energy_cases[case]
+        energy, g = problem.energy, problem.gram
+        rng = np.random.default_rng(seed)
+        # entries spread over log_spread decades
+        u, v = rng.normal(size=(2, problem.dim)) * 10.0 ** rng.uniform(-log_spread / 2, log_spread / 2, (2, problem.dim))
+        ru, rv = energy.whiten_states(u), energy.whiten_states(v)
+        assert abs(ru @ rv - u @ (g @ v)) <= 1e-12 * np.sqrt((u @ (g @ u)) * (v @ (g @ v)))
+        assert np.max(np.abs(energy.unwhiten_states(ru) - u)) <= 1e-12 * np.max(np.abs(u))
+        block = np.column_stack([u, v])
+        assert np.array_equal(energy.whiten_states(block), np.column_stack([ru, rv]))
+        assert np.max(np.abs(energy.unwhiten_states(energy.whiten_states(block)) - block)) <= 1e-12 * np.max(np.abs(block))
 
 
 def _two_theta_operator():

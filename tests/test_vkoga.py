@@ -84,6 +84,12 @@ class TestFit:
         model = vkoga_fit(xs, ys, KernelConfig(max_centers=7))
         assert model.num_centers == 7
 
+    @pytest.mark.parametrize("max_centers", [0, -1, 2.5, "3", True], ids=["zero", "negative", "fraction", "string", "bool"])
+    def test_max_centers_must_be_a_count(self, max_centers):
+        # 0 or -1 would leave a kernel tier that never has a centre
+        with pytest.raises(ValueError, match="max_centers must be an integer >= 1"):
+            KernelConfig(max_centers=max_centers)
+
     def test_warm_fit_needs_a_prefix_of_the_inputs(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(size=(6, 2))
