@@ -64,6 +64,12 @@ class StructuredGrid:
         xx, yy = np.meshgrid(x, y)
         return np.column_stack([xx.ravel(), yy.ravel()])
 
+    def band_order(self) -> np.ndarray:
+        """The node indices numbered along the shorter axis first: a bilinear
+        element matrix in this order has half-bandwidth min(nx, ny) + 2."""
+        nodes = np.arange(self.num_nodes).reshape(self.ny + 1, self.nx + 1)
+        return (nodes.T if self.ny < self.nx else nodes).ravel()
+
     @functools.cached_property
     def cells(self) -> np.ndarray:
         """Cell -> node incidence, local order (0,0), (1,0), (0,1), (1,1);
@@ -510,12 +516,21 @@ class EnergyFactor:
         if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0.0)):
             raise NumericalError("energy product not SPD")
         self.order = np.argsort(lu.perm_r)  # (P F)[i] = F[order[i]]
-        self.lower = lu.L  # CSC, which spsolve_triangular takes without a transpose
+        self.lower = lu.L  # CSC; whiten_states multiplies by its CSR view lower.T
         self.inv_sqrt_pivots = 1.0 / np.sqrt(pivots)
+
+    @functools.cached_property
+    def _upper(self) -> sp.csr_matrix:
+        """A private CSR copy of L^T, whose transpose is a CSC view of L: the
+        triangular solves may overwrite it (they sort its indices and rewrite
+        its unit diagonal in place) instead of copying the whole factor on
+        every call."""
+        return sp.csr_matrix(self.lower.T, copy=True)
 
     def whiten(self, functionals: np.ndarray) -> np.ndarray:
         """D^-1/2 L^-1 P F for one functional or a block of them (columns)."""
-        solved = spla.spsolve_triangular(self.lower, functionals[self.order], lower=True, unit_diagonal=True)
+        solved = spla.spsolve_triangular(self._upper.T, functionals[self.order], lower=True, overwrite_A=True,
+                                         unit_diagonal=True)
         return solved * self._pivot_scale(solved)
 
     def _pivot_scale(self, x: np.ndarray) -> np.ndarray:
@@ -528,8 +543,8 @@ class EnergyFactor:
 
     def unwhiten_states(self, whitened: np.ndarray) -> np.ndarray:
         """R^-1 w = P^T L^-T D^-1/2 w: one unit upper-triangular solve."""
-        solved = spla.spsolve_triangular(self.lower.T, whitened * self._pivot_scale(whitened), lower=False,
-                                         unit_diagonal=True)
+        solved = spla.spsolve_triangular(self._upper, whitened * self._pivot_scale(whitened), lower=False,
+                                         overwrite_A=True, unit_diagonal=True)
         states = np.empty_like(solved)
         states[self.order] = solved
         return states

@@ -210,18 +210,18 @@ class RbGenerator:
         problem = self.fom.problem
         cfg = HapodConfig(eps_pod, self.hapod.chunk)
         state = IncrementalHapod(problem.dim, cfg, problem.time_grid.num_nodes)
-        block = np.empty((problem.dim, cfg.chunk))  # every full chunk is written here
+        block = np.empty((cfg.chunk, problem.dim))  # every full chunk is written here, one state per row
         filled = 0
         raw_scale = 0.0
         for row in self.fom.iter_state(mu):
-            block[:, filled] = row
+            block[filled] = row
             filled += 1
             self._track(state, filled)
             if filled == cfg.chunk:
-                raw_scale = max(raw_scale, self._feed_projected(state, block))
+                raw_scale = max(raw_scale, self._feed_projected(state, block.T))
                 filled = 0
         if filled:
-            raw_scale = max(raw_scale, self._feed_projected(state, block[:, :filled]))
+            raw_scale = max(raw_scale, self._feed_projected(state, block[:filled].T))
         modes, svals = state.finalize()
         self._track(state, 0)
         keep = svals > self._DEFLATION * raw_scale

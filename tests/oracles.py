@@ -1,6 +1,9 @@
 """Reference implementations the tests compare the library against. They are
 slow or redundant by design and are not part of the certrom API."""
 
+import math
+from typing import Optional
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -38,6 +41,55 @@ def rb_residual_bruteforce(problem: FomProblem, basis_matrix: np.ndarray, traj: 
         residuals[:, j] = b - p.mass @ (full[j + 1] - full[j]) / dt - op @ full[j + 1]
     reps = spla.spsolve(p.gram.tocsc(), residuals).reshape(residuals.shape)
     return np.sqrt(np.maximum(np.einsum("ij,ij->j", residuals, reps), 0.0))
+
+
+def sequential_orthonormalize(vectors, existing: Optional[np.ndarray] = None, drop_tol: float = 1e-10):
+    """Two-pass Euclidean Gram-Schmidt of the columns, against an optional
+    existing orthonormal set. (Energy-orthonormal sets are grown in the
+    whitened coordinates of ``EnergyFactor.whiten_states``.)
+
+    Each column is projected twice against [existing | the new directions of
+    the columns before it]. The first pass against the existing set does not
+    depend on the other columns and runs for the whole batch at once, one
+    matrix product; the rest runs column by column, since the second pass
+    must act on what the batch's own directions left over. Returns the new
+    orthonormal columns and the coordinates of every input column in
+    [existing | new columns], accumulated over both passes. A column whose
+    post-projection norm falls below drop_tol times its original norm adds
+    no direction and keeps only its projection coordinates (a zero column
+    has zero coordinates).
+    """
+    cols = np.array(vectors, dtype=float)  # a copy, projected in place
+    if cols.ndim == 1:
+        cols = cols[:, None]
+    num_old = 0 if existing is None else existing.shape[1]
+    coords = np.zeros((num_old + cols.shape[1], cols.shape[1]))
+    origs = np.sqrt(np.einsum("ij,ij->j", cols, cols))
+    if num_old:
+        coords[:num_old] = existing.T @ cols
+        cols -= existing @ coords[:num_old]
+    kept = np.empty(cols.shape)  # the first `count` columns are the new directions
+    count = 0
+    for j, orig in enumerate(origs.tolist()):
+        if orig == 0.0:
+            continue
+        v = cols[:, j]
+        blocks = [(num_old, kept[:, :count])] if count else []
+        if num_old:
+            blocks = blocks + [(0, existing)] + blocks  # the first pass's rest, the second pass
+        else:
+            blocks = blocks * 2
+        for offset, block in blocks:
+            c = block.T @ v
+            v = v - block @ c
+            coords[offset : offset + c.size, j] += c
+        norm = math.sqrt(v @ v)
+        if norm < drop_tol * orig:
+            continue
+        coords[num_old + count, j] = norm
+        kept[:, count] = v / norm
+        count += 1
+    return np.ascontiguousarray(kept[:, :count]), coords[: num_old + count]
 
 
 def energy_gram_schmidt(vectors, gram, existing=None, drop_tol: float = 1e-10) -> np.ndarray:

@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
-from certrom import AffineFunctional, FullOrderModel
+from certrom import AffineFunctional, AffineOperator, FullOrderModel, NumericalError, OperatorComponent, build_building
 
 from conftest import scalar_problem
 
@@ -24,6 +27,20 @@ class TestScalarRecursion:
         assert np.allclose(traj.coeffs[:, 0], expected, rtol=1e-13)
 
 
+def dense_steps(problem, mu, count):
+    """The first ``count`` states of implicit Euler from one dense LU of
+    M + dt A(mu) in the natural node order."""
+    dt = problem.time_grid.dt
+    mass = problem.mass.toarray()
+    factor = sla.lu_factor(mass + dt * problem.operator.assemble(mu).toarray())
+    u = problem.initial_vector()
+    states = [u.copy()]
+    for t in problem.time_grid.nodes[1:count]:
+        u = sla.lu_solve(factor, mass @ u + dt * problem.rhs.assemble(mu, t))
+        states.append(u.copy())
+    return np.array(states)
+
+
 class TestAgainstDenseOracle:
     def test_heat_square_matches_per_step_dense_solve(self, heat_problem):
         p = heat_problem
@@ -42,6 +59,58 @@ class TestAgainstDenseOracle:
             u = np.linalg.solve(system, b)
             dense.append(u.copy())
         assert np.allclose(traj.coeffs, np.array(dense), atol=1e-12)
+
+    def test_building_matches_dense_steps(self):
+        problem = build_building()
+        mu = problem.box.lower + 0.3 * (problem.box.upper - problem.box.lower)
+        traj = FullOrderModel(problem).eval_state(mu)
+        assert np.max(np.abs(traj.coeffs - dense_steps(problem, mu, traj.coeffs.shape[0]))) <= 1e-12
+
+    def test_coarse_reactive_flow_matches_dense_steps(self, coarse_reactive):
+        # the first 150 steps: more than two chunks of the streamed forcing
+        mu = np.array([3.0, 10.5])
+        states = np.array(list(itertools.islice(FullOrderModel(coarse_reactive).iter_state(mu), 150)))
+        assert np.max(np.abs(states - dense_steps(coarse_reactive, mu, 150))) <= 1e-12
+
+
+class TestBandedSteps:
+    def test_short_axis_order_on_a_grid(self, coarse_reactive):
+        grid = coarse_reactive.grid
+        steps = coarse_reactive.steps
+        assert np.array_equal(np.sort(steps.order), np.arange(coarse_reactive.dim))
+        assert steps.lower == steps.upper == min(grid.nx, grid.ny) + 2
+
+    def test_reverse_cuthill_mckee_without_a_grid(self, heat_problem):
+        gridless = dataclasses.replace(heat_problem, grid=None)
+        steps = gridless.steps
+        assert np.array_equal(np.sort(steps.order), np.arange(heat_problem.dim))
+        assert not np.array_equal(steps.order, heat_problem.steps.order)
+        mu = np.array([1.3, 0.6])
+        expected = FullOrderModel(heat_problem).eval_state(mu).coeffs
+        assert np.max(np.abs(FullOrderModel(gridless).eval_state(mu).coeffs - expected)) <= 1e-12
+
+    def test_layout_is_worked_out_once_per_problem(self, heat_problem):
+        steps = heat_problem.steps
+        FullOrderModel(heat_problem).eval_state([1.0, 1.0])
+        assert heat_problem.steps is steps
+
+    def test_scalar_problem_without_a_grid_solves(self):
+        problem = scalar_problem(a=2.0, load=1.0, u0=0.5, num_nodes=6)
+        assert problem.grid is None
+        traj = FullOrderModel(problem).eval_state([1.5])
+        dt = problem.time_grid.dt
+        u, expected = 0.5, [0.5]
+        for _ in range(5):
+            u = (u + dt) / (1.0 + dt * 3.0)
+            expected.append(u)
+        assert np.allclose(traj.coeffs[:, 0], expected, rtol=1e-14)
+
+    def test_singular_step_raises(self):
+        # m + dt a mu = 1 - 0.1 * 10 * 1 = 0
+        problem = scalar_problem(num_nodes=11)
+        singular = AffineOperator((OperatorComponent(sp.csr_matrix(np.array([[-10.0]])), parameter=0),))
+        with pytest.raises(NumericalError, match="FOM step singular"):
+            FullOrderModel(dataclasses.replace(problem, operator=singular)).eval_state([1.0])
 
 
 class TestOutputs:

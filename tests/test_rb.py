@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,10 +30,10 @@ from certrom import (
     build_grid,
     l2_time_norm,
 )
-from certrom.rb import TEMPORAL_TOL, SpannedTrajectory, TemporalBasis
+from certrom.rb import TEMPORAL_TOL, SpannedTrajectory, TemporalBasis, orthonormalize
 
 from conftest import scalar_problem
-from oracles import energy_gram_schmidt, rb_residual_bruteforce
+from oracles import energy_gram_schmidt, rb_residual_bruteforce, sequential_orthonormalize
 
 
 def snapshot_basis(problem, mus, drop_tol=1e-13):
@@ -83,6 +84,24 @@ class TestRiesz:
     def test_indefinite_rejected(self):
         with pytest.raises(NumericalError, match="not SPD"):
             EnergyFactor(sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])))
+
+    def test_prepared_solves_match_the_copying_solves(self, coarse_reactive):
+        """whiten and unwhiten_states solve on a private copy of the factor:
+        bit for bit the solves on ``lower`` itself, which they leave as it was."""
+        energy = EnergyFactor(coarse_reactive.gram)
+        lower = energy.lower.copy()
+        rng = np.random.default_rng(13)
+        for width in (None, 1, 10, 10):
+            shape = (energy.order.size,) if width is None else (energy.order.size, width)
+            f, w = rng.normal(size=(2, *shape))
+            scale = energy.inv_sqrt_pivots if width is None else energy.inv_sqrt_pivots[:, None]
+            whitened = spla.spsolve_triangular(energy.lower, f[energy.order], lower=True, unit_diagonal=True) * scale
+            assert np.array_equal(energy.whiten(f), whitened)
+            states = np.empty_like(w)
+            states[energy.order] = spla.spsolve_triangular(energy.lower.T, w * scale, lower=False, unit_diagonal=True)
+            assert np.array_equal(energy.unwhiten_states(w), states)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(energy.lower, name), getattr(lower, name))
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +286,22 @@ class TestReducedOutput:
         direct = full.coeffs @ heat_problem.output + heat_problem.output_shift
         assert np.allclose(rom.output_of(traj).values, direct, atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["heat_square", "reactive_flow"])
+    @pytest.mark.parametrize("with_initial", [True, False])
+    def test_temporal_coordinates_skip_the_coefficients(self, perturbation_cases, case, with_initial):
+        """A trajectory in temporal coordinates without a tail: T (C_hat o_hat)
+        with the initial row's output in row 0, never the K x n coefficients."""
+        _, rom = perturbation_cases[case]
+        rng = np.random.default_rng(14)
+        modes = np.linalg.qr(rng.normal(size=(rom.time_grid.num_nodes, 5)))[0]
+        temporal = TemporalBasis(rom.time_grid, rom.rhs).grown(modes)
+        initial = rng.normal(size=rom.dim) if with_initial else None
+        traj = SpannedTrajectory(temporal, rng.normal(size=(5, rom.dim)), initial=initial)
+        values = rom.output_of(traj).values
+        assert traj._coeffs is None
+        expected = rom.output_of(Trajectory(rom.time_grid, traj.coeffs)).values
+        assert np.max(np.abs(values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
     def test_dimension_mismatch(self, heat_problem):
         basis = snapshot_basis(heat_problem, [[1.0, 1.0]])
         rom = assemble_rb_rom(heat_problem, basis)
@@ -309,6 +344,96 @@ class TestResidualNorms:
             slow = rb_residual_bruteforce(heat_problem, basis, traj, mu)
             denom = np.maximum(slow, 1e-12)
             assert np.max(np.abs(fast - slow) / denom) <= 1e-8
+
+
+COLUMN_KINDS = ("random", "zero", "duplicate", "in_span", "above", "below", "cancelling")
+
+
+def kind_batch(rng, existing: np.ndarray, kinds, drop_tol: float) -> np.ndarray:
+    """One column per kind: a Gaussian one, a zero one, a copy of an earlier
+    column, a combination of the existing and earlier columns, such a
+    combination plus a residual 10x above or 10x below drop_tol times its
+    norm (along a direction outside the span so far; none if there is no such
+    direction), or the last column plus 1e-9 of a Gaussian one (cancellation
+    inside the batch)."""
+    rows = existing.shape[0]
+    cols = []
+    for kind in kinds:
+        spanned = np.column_stack([existing] + cols)
+        if kind == "random" or (kind == "cancelling" and not cols):
+            v = rng.normal(size=rows)
+        elif kind == "zero":
+            v = np.zeros(rows)
+        elif kind == "duplicate" and cols:
+            v = cols[rng.integers(len(cols))].copy()
+        elif kind == "cancelling":
+            v = cols[-1] + 1e-9 * rng.normal(size=rows)
+        else:  # in_span, above, below, or a duplicate before any column
+            v = spanned @ rng.normal(size=spanned.shape[1])
+            if kind in ("above", "below") and np.linalg.norm(v) > 0.0:
+                span = sla.orth(spanned)
+                outside = rng.normal(size=rows)
+                for _ in range(2):
+                    outside -= span @ (span.T @ outside)
+                if np.linalg.norm(outside) > 1e-6:
+                    share = 10.0 if kind == "above" else 0.1
+                    v = v + share * drop_tol * np.linalg.norm(v) * outside / np.linalg.norm(outside)
+        cols.append(v)
+    return np.column_stack(cols)
+
+
+def assert_matches_sequential(vectors, existing, drop_tol):
+    """The block orthonormalizer against the column-by-column reference: the
+    same count of new directions and the same span, orthonormal to 1e-13 with
+    the existing set, and every input rebuilt from its coordinates as well as
+    the reference rebuilds it, to 1e-12 of its norm."""
+    new, coords = orthonormalize(vectors, existing, drop_tol)
+    ref, ref_coords = sequential_orthonormalize(vectors, existing, drop_tol)
+    assert new.shape == ref.shape
+    num_old = existing.shape[1]
+    full, ref_full = np.hstack([existing, new]), np.hstack([existing, ref])
+    assert np.linalg.norm(full.T @ full - np.eye(full.shape[1])) <= 1e-13
+    origs = np.linalg.norm(vectors, axis=0)
+    # a direction made from a residual rho ||v|| is fixed only to about
+    # u / rho in floating point, by either scheme
+    pivots = np.argmax(ref_coords[num_old:] != 0.0, axis=1)
+    residuals = ref_coords[num_old + np.arange(pivots.size), pivots]
+    sensitivity = max(1.0, np.max(origs[pivots] / residuals, initial=1.0))
+    assert np.max(np.abs(new @ new.T - ref @ ref.T), initial=0.0) <= 1e-12 * sensitivity
+    errors = np.linalg.norm(full @ coords - vectors, axis=0)
+    ref_errors = np.linalg.norm(ref_full @ ref_coords - vectors, axis=0)
+    assert np.all(errors <= ref_errors + 1e-12 * origs)
+
+
+class TestBlockOrthonormalize:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        rows=st.integers(3, 40),
+        existing_share=st.floats(0.0, 0.9),
+        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=90),
+        drop_tol=st.sampled_from([1e-10, 1e-13]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_sequential_reference(self, rows, existing_share, kinds, drop_tol, seed):
+        rng = np.random.default_rng(seed)
+        existing = np.linalg.qr(rng.normal(size=(rows, int(existing_share * rows))))[0]
+        assert_matches_sequential(kind_batch(rng, existing, kinds, drop_tol), existing, drop_tol)
+
+    def test_cancellation_inside_the_batch(self):
+        # the second column cancels against the first to 1e-9 after the
+        # existing set is taken out
+        rng = np.random.default_rng(5)
+        existing = np.linalg.qr(rng.normal(size=(40, 20)))[0]
+        a, b = rng.normal(size=(2, 40))
+        assert_matches_sequential(np.column_stack([a, a + 1e-9 * b]), existing, 1e-10)
+
+    def test_wide_batch_fills_the_space(self):
+        rng = np.random.default_rng(6)
+        existing = np.linalg.qr(rng.normal(size=(30, 12)))[0]
+        vectors = rng.normal(size=(30, 75))
+        new, _ = orthonormalize(vectors, existing, 1e-13)
+        assert new.shape == (30, 18)
+        assert_matches_sequential(vectors, existing, 1e-13)
 
 
 class TestEstimatorLayout:
