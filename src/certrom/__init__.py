@@ -43,7 +43,7 @@ from .fem import (
     synthetic_layered_raster,
 )
 from .fom import FomProblem, FullOrderModel
-from .hapod import HapodConfig, IncrementalHapod, RbGenerator, gram_schmidt, load_basis, save_basis
+from .hapod import HapodConfig, IncrementalHapod, RbGenerator, gram_schmidt
 from .kernels import (
     KernelConfig,
     VkogaGenerator,

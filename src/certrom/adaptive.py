@@ -84,16 +84,15 @@ class AdaptiveModel:
     def box(self):
         return self.rb_generator.fom.problem.box
 
-    # -- algorithm core ----------------------------------------------------
-    def _query(self, mu, use_state_estimate: bool):
+    @blas.scope()
+    def query(self, mu):
+        """Certified output signal plus the provenance record."""
         mu = self.box.validate(mu)
         rec = EvalRecord(mu=mu.copy(), tier="", delta_ml=np.inf, delta_rb=np.inf, eps=self.eps)
 
         def certify(traj):
-            rom = self.rb_rom  # the current one: enrichment replaces it
-            temporal = self.ml_generator.temporal  # likewise: extends grow it
-            estimate = rom.est_state_for if use_state_estimate else rom.est_output_for
-            return estimate(traj, mu, temporal)
+            # the current reduced model and temporal basis: enrichment replaces the one and grows the other
+            return self.rb_rom.est_output_for(traj, mu, self.ml_generator.temporal)
 
         tic = time.perf_counter()
         ml_traj = self.ml_rom.eval_state(mu)
@@ -104,7 +103,7 @@ class AdaptiveModel:
             rec.tier = TIER_ML
             self.ml_generator.answered()
             tic = time.perf_counter()
-            answer = self._package(ml_traj, use_state_estimate)
+            answer = self.rb_rom.output_of(ml_traj)
             rec.t_ml_eval = time.perf_counter() - tic
             return answer, self._finish(rec)
 
@@ -121,7 +120,7 @@ class AdaptiveModel:
             if rec.delta_rb <= self.eps:
                 rec.tier = tier
                 self._learn(mu, rb_traj, rec)
-                return self._package(rb_traj, use_state_estimate), self._finish(rec)
+                return self.rb_rom.output_of(rb_traj), self._finish(rec)
         raise NumericalError("enrichment failed")
 
     def _enrich(self, mu, rec: EvalRecord):
@@ -158,33 +157,14 @@ class AdaptiveModel:
         if gen.trainings > trainings:
             self.events.append({"kind": "ml_train", "index": len(self.records), **gen.last_fit})
 
-    def _package(self, traj: Trajectory, as_state: bool):
-        if as_state:
-            full = self.rb_rom.reconstruct(traj)
-            return self.rb_generator.fom.problem.lift(full)
-        return self.rb_rom.output_of(traj)
-
     def _finish(self, rec: EvalRecord) -> EvalRecord:
         rec.basis_dim = self.rb_rom.dim
         rec.ml_size = self.ml_rom.size
         self.records.append(rec)
         return rec
 
-    @blas.scope()
-    def query(self, mu):
-        """Certified output signal plus the provenance record."""
-        return self._query(mu, use_state_estimate=False)
-
-    @blas.scope()
-    def query_state(self, mu):
-        """Certified full-order (lifted) state trajectory plus the record."""
-        return self._query(mu, use_state_estimate=True)
-
     def eval_output(self, mu) -> OutputSignal:
         return self.query(mu)[0]
-
-    def eval_state(self, mu) -> Trajectory:
-        return self.query_state(mu)[0]
 
 
 @dataclass(frozen=True)

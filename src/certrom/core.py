@@ -5,6 +5,7 @@ every tier (full order, reduced, learned) is measured in."""
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -37,10 +38,9 @@ class TimeGrid:
     num_nodes: int
 
     def __post_init__(self):
-        if self.num_nodes < 2:
-            raise ValueError("time grid needs at least 2 nodes")
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
+        check_count("num_nodes", self.num_nodes, 2)
+        if not (isinstance(self.t_end, numbers.Real) and 0.0 < self.t_end < math.inf):  # also rejects NaN
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end!r}")
 
     @property
     def dt(self) -> float:

@@ -58,12 +58,6 @@ class FomProblem:
     def initial_vector(self) -> np.ndarray:
         return np.array(self.initial, dtype=float)
 
-    def lift(self, traj: Trajectory) -> Trajectory:
-        """Add the Dirichlet lifting back onto a homogeneous-space trajectory."""
-        if self.lifting is None:
-            return traj
-        return Trajectory(traj.grid, traj.coeffs + self.lifting.values[None, :])
-
 
 STEP_CHUNK = 64  # time steps whose forcing is formed, and whose states are checked, together
 

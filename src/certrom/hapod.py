@@ -129,26 +129,6 @@ def _pod(x: np.ndarray, squared_budget: float):
     return modes, svals
 
 
-def save_basis(path, basis_matrix: np.ndarray):
-    """Text dump: first line `N_h N_rb`, then one whitespace-separated row per DoF."""
-    n, m = basis_matrix.shape
-    with open(path, "w") as fh:
-        fh.write(f"{n} {m}\n")
-        for row in basis_matrix:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_basis(path) -> np.ndarray:
-    with open(path) as fh:
-        n, m = (int(tok) for tok in fh.readline().split())
-        if m == 0:
-            return np.zeros((n, 0))
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (n, m):
-        raise ValueError("basis checkpoint shape does not match its header")
-    return data
-
-
 class RbGenerator:
     """Streams full-order trajectories through the chunked POD into a growing,
     nested reduced basis, and precomputes certified reduced models from it.
@@ -271,7 +251,7 @@ class RbGenerator:
 
     def _current_rom(self) -> RbRom:
         if self._rom is None:
-            self._rom = assemble_rb_rom(self.fom.problem, self.basis, self._builder)
+            self._rom = assemble_rb_rom(self.fom.problem, self.basis, self._builder, self._whitened)
         return self._rom
 
     def precompute(self) -> RbRom:

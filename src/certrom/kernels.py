@@ -77,15 +77,6 @@ class KernelModel:
     def _residual(self) -> np.ndarray:
         return self._residual_rows[: self.num_samples]
 
-    def rkhs_residual_decay(self) -> np.ndarray:
-        """Hypothesis-space norm of the residual against the full fit after
-        0, 1, ..., M selected centers. The Newton basis is orthonormal in the
-        hypothesis space, so this sequence is non-increasing by construction;
-        the pointwise maximum residual (greedy_history) is not monotone."""
-        sq = np.sum(self._alpha_newton**2, axis=1)
-        tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
-        return np.sqrt(tail)
-
     def predict(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if self.num_centers == 0:

@@ -258,10 +258,6 @@ class RbRom:
     def eval_output(self, mu) -> OutputSignal:
         return self.output_of(self.eval_state(mu))
 
-    def reconstruct(self, traj: Trajectory) -> Trajectory:
-        """Full-order rows from reduced rows: (K x n) -> (K x N_h)."""
-        return Trajectory(traj.grid, traj.coeffs @ self.basis.T)
-
     # -- estimators ---------------------------------------------------------
     def _residual_rows(self, traj: Trajectory, mu) -> tuple:
         """(F_L, F_M, F_A(mu)) for a trajectory of the estimator's dimension,
@@ -403,11 +399,15 @@ class EstimatorBuilder:
         return EstimatorData(self._rhs, self._mass, self._operator, self.output_dual_norm)
 
 
-def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Optional[EstimatorBuilder] = None) -> RbRom:
+def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Optional[EstimatorBuilder] = None,
+                    whitened: Optional[np.ndarray] = None) -> RbRom:
     """Galerkin-project the problem onto the basis and attach the estimator.
 
     A persistent ``builder`` makes repeated calls incremental in the expensive
     whitening work; without one, the estimator data is assembled from scratch.
+    ``whitened`` is the basis in whitened coordinates, R Phi (see
+    ``EnergyFactor.whiten_states``), if the caller holds it; the initial
+    datum is projected there, so the Gram only builds the energy factor.
     """
     p = problem
     phi = np.asarray(basis_matrix, dtype=float)
@@ -432,10 +432,11 @@ def assemble_rb_rom(problem: FomProblem, basis_matrix: np.ndarray, builder: Opti
     rhs_hats = phi.T @ rhs_vectors if rhs_vectors.shape[1] else np.zeros((phi.shape[1], 0))
     output_hat = phi.T @ p.output
 
-    u0 = p.initial_vector()
-    init_coeffs = phi.T @ (p.gram @ u0)
-    defect_vec = u0 - phi @ init_coeffs
-    init_defect = float(np.sqrt(max(defect_vec @ (p.gram @ defect_vec), 0.0)))
+    if whitened is None:
+        whitened = p.energy.whiten_states(phi)
+    w0 = p.energy.whiten_states(p.initial_vector())
+    init_coeffs = whitened.T @ w0
+    init_defect = float(np.linalg.norm(w0 - whitened @ init_coeffs))
 
     return RbRom(
         basis=phi,

@@ -112,6 +112,23 @@ def pod_modes(vectors: np.ndarray, gram, mean_square_tol: float):
     return energy.unwhiten_states(modes), svals
 
 
+def reconstruct(rom, traj: Trajectory) -> Trajectory:
+    """Full-order rows of a reduced trajectory on the model's basis:
+    (K x n) -> (K x N_h)."""
+    return Trajectory(traj.grid, traj.coeffs @ rom.basis.T)
+
+
+def rkhs_residual_decay(model) -> np.ndarray:
+    """Hypothesis-space norm of a ``KernelModel``'s residual against its full
+    fit after 0, 1, ..., M selected centers. The Newton basis is orthonormal
+    in the hypothesis space, so this sequence is non-increasing by
+    construction; the pointwise maximum residual (greedy_history) is not
+    monotone."""
+    sq = np.sum(model._alpha_newton**2, axis=1)
+    tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
+    return np.sqrt(tail)
+
+
 def zero_params(sizes) -> MlpParams:
     return layer_views(np.zeros(_num_parameters(sizes)), sizes)
 

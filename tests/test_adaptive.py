@@ -89,33 +89,6 @@ class TestCascade:
             assert rec.tier == "ml"
 
 
-class TestEvalState:
-    def test_first_call_returns_fom_trajectory(self, heat_problem, model):
-        mu = np.array([0.8, 1.6])
-        fom = FullOrderModel(heat_problem)
-        traj, rec = model.query_state(mu)
-        assert rec.tier == "fom"
-        lifted = heat_problem.lift(fom.eval_state(mu))
-        # tier 3 answers with the freshly enriched reduced model, which
-        # reproduces the trajectory to output-reproduction accuracy
-        diff = traj.coeffs - lifted.coeffs
-        g = heat_problem.gram
-        err = np.sqrt(heat_problem.time_grid.dt * sum(d @ (g @ d) for d in diff[:-1]))
-        assert err <= model.eps
-
-    def test_repeat_state_query_certified(self, heat_problem, model):
-        mu = np.array([0.8, 1.6])
-        fom = FullOrderModel(heat_problem)
-        model.query_state(mu)
-        traj, rec = model.query_state(mu)
-        assert rec.tier in ("ml", "rb")
-        lifted = heat_problem.lift(fom.eval_state(mu))
-        diff = traj.coeffs - lifted.coeffs
-        g = heat_problem.gram
-        err = np.sqrt(heat_problem.time_grid.dt * sum(d @ (g @ d) for d in diff[:-1]))
-        assert err <= model.eps * (1 + 1e-10)
-
-
 class TestStagnation:
     def test_steep_descent_never_fires(self):
         cfg = StagnationConfig(n_av=4, n_stag=5, eps_slope=-1e-15, eps_slope_rel=5e-5)

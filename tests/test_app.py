@@ -283,6 +283,26 @@ class TestCli:
         assert "usage error: eps must be positive, got -1.0" in capsys.readouterr().err
         assert solves == []
 
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            ("num_time_nodes", "20.5", "usage error: num_nodes must be an integer >= 2, got 20.5"),
+            ("t_end", "1e400", "usage error: t_end must be finite and positive, got inf"),
+        ],
+        ids=["fractional_nodes", "infinite_horizon"],
+    )
+    @pytest.mark.parametrize("command", ["info", "solve"])
+    def test_bad_time_grid_is_a_usage_error_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, command, field, text, message
+    ):
+        solves = count_calls(monkeypatch, FullOrderModel, "iter_state")
+        path = tmp_path / "grid.json"  # the number as written: 1e400 reads as inf
+        path.write_text(f'{{"problem": {{"kind": "heat_square", "nx": 6, "ny": 6, "{field}": {text}}}}}')
+        args = ["--mu", "1.0,1.0", "--out", str(tmp_path / "o")] if command == "solve" else []
+        assert cli([command, "--config", str(path), *args]) == 1
+        assert message in capsys.readouterr().err
+        assert solves == []
+
     def test_wrong_length_initial_mu_is_a_usage_error_before_any_solve(self, tmp_path, capsys, monkeypatch):
         solves = count_calls(monkeypatch, FullOrderModel, "iter_state")
         cfg = write_config(tmp_path, reference_mu=[1.25, 1.25], initial_mu=[0.7])

@@ -51,15 +51,12 @@ def assert_scoped(seen: list, outer: list):
     assert counts() == outer
 
 
-def test_query_and_query_state(heat_problem, outer, monkeypatch):
+def test_query(heat_problem, outer, monkeypatch):
     model = make_adaptive_model(heat_problem, eps=1e-2)
     seen = []
     recording(monkeypatch, RbRom, "est_output_for", seen)
     recording(monkeypatch, RbRom, "est_state_for", seen)
     model.query(np.array([1.3, 0.8]))
-    assert_scoped(seen, outer)
-    seen.clear()
-    model.query_state(np.array([0.7, 1.6]))
     assert_scoped(seen, outer)
     pickle.dumps(model)  # the shim's handles live in the blas module, not on the model
 

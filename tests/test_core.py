@@ -43,6 +43,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 5)
 
+    @pytest.mark.parametrize("num_nodes", [20.5, 20.0, True], ids=["fraction", "float", "bool"])
+    def test_node_count_must_be_an_integer(self, num_nodes):
+        with pytest.raises(ValueError, match="num_nodes must be an integer >= 2"):
+            TimeGrid(1.0, num_nodes)
+
+    @pytest.mark.parametrize("t_end", [np.inf, np.nan, -1.0], ids=["infinite", "nan", "negative"])
+    def test_horizon_must_be_finite_and_positive(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be finite and positive"):
+            TimeGrid(t_end, 5)
+
 
 class TestL2TimeNorm:
     def test_zero_signal(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,8 +11,8 @@ from certrom import (
     IncrementalHapod,
     NumericalError,
     RbGenerator,
-    load_basis,
-    save_basis,
+    assemble_rb_rom,
+    l2_time_norm,
 )
 from oracles import energy_gram_schmidt, pod_modes
 
@@ -254,8 +256,6 @@ class TestRbGenerator:
         assert rom.est_output([1.0, 1.0]) > 1e-3
 
     def test_precompute_matches_direct_projection(self, heat_problem):
-        from certrom import assemble_rb_rom
-
         fom = FullOrderModel(heat_problem)
         gen = RbGenerator(fom, eps=1e-3)
         gen.extend([0.9, 1.6])
@@ -266,6 +266,30 @@ class TestRbGenerator:
             rom.eval_state(mu).coeffs, direct.eval_state(mu).coeffs, atol=1e-12
         )
 
+    def test_nonzero_initial_datum_is_projected_in_whitened_coordinates(self, heat_problem):
+        xy = heat_problem.grid.node_coords
+        bump = 16.0 * np.prod(xy * (1.0 - xy), axis=1)  # an interior bump, zero on the boundary
+        problem = dataclasses.replace(heat_problem, initial=bump)
+        fom = FullOrderModel(problem)
+        gen = RbGenerator(fom, eps=1e-3)
+        gen.extend([0.7, 1.8])
+        gen.extend([1.9, 0.6])
+        rom = gen.precompute()
+        g = problem.gram
+        expected = gen.basis.T @ (g @ bump)
+        for assembled in (rom, assemble_rb_rom(problem, gen.basis)):  # the generator's R Phi, then a fresh one
+            assert np.linalg.norm(assembled.init_coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert assembled.init_defect <= 1e-12 * np.sqrt(bump @ (g @ bump))
+        mu = np.array([1.2, 0.9])
+        traj = rom.eval_state(mu)
+        assert l2_time_norm(fom.eval_output(mu) - rom.output_of(traj)) <= rom.est_output_for(traj, mu)
+        rest = gen.basis[:, 1:]  # without the datum's own direction, the first one grown
+        partial = assemble_rb_rom(problem, rest)
+        defect = bump - rest @ (rest.T @ (g @ bump))
+        assert partial.init_defect == pytest.approx(np.sqrt(defect @ (g @ defect)), rel=1e-10)
+        with pytest.raises(NumericalError, match="initial datum"):
+            partial.est_output(mu)
+
     def test_precompute_cached_until_dirty(self, heat_problem):
         gen = RbGenerator(FullOrderModel(heat_problem), eps=1e-3)
         gen.extend([1.0, 1.0])
@@ -273,22 +297,6 @@ class TestRbGenerator:
         assert gen.precompute() is rom1
         gen.extend([1.9, 0.6])
         assert gen.precompute() is not rom1
-
-
-class TestBasisCheckpoint:
-    def test_roundtrip(self, tmp_path, heat_problem):
-        gen = RbGenerator(FullOrderModel(heat_problem), eps=1e-3)
-        gen.extend([1.4, 1.4])
-        path = tmp_path / "basis.txt"
-        save_basis(path, gen.basis)
-        loaded = load_basis(path)
-        assert np.allclose(loaded, gen.basis, atol=1e-15)
-
-    def test_empty_basis_roundtrip(self, tmp_path):
-        path = tmp_path / "basis.txt"
-        save_basis(path, np.zeros((7, 0)))
-        loaded = load_basis(path)
-        assert loaded.shape == (7, 0)
 
 
 class TestReproductionRetry:

@@ -18,7 +18,7 @@ from certrom import (
 from certrom.kernels import kernel_matrix
 from certrom.rb import TEMPORAL_TOL
 
-from oracles import kernel_eval
+from oracles import kernel_eval, rkhs_residual_decay
 
 
 class TestKernel:
@@ -63,7 +63,7 @@ class TestFit:
         xs = rng.uniform(size=(40, 3))
         ys = np.column_stack([np.sin(3 * xs[:, 0]), xs[:, 1] * xs[:, 2]])
         model = vkoga_fit(xs, ys, KernelConfig())
-        decay = model.rkhs_residual_decay()
+        decay = rkhs_residual_decay(model)
         assert np.all(np.diff(decay) <= 1e-12)
         assert decay[-1] == 0.0
         # the pointwise max residual, by contrast, genuinely overshoots; the
